@@ -5,12 +5,13 @@ density, complex-order moments, the pole lattice of the moment function, and
 random sampling.  The supported families (Nakagami-m, Weibull, Rician, Hoyt)
 all have moments that decay fast enough in the left half-plane for the
 residue machinery in :mod:`relayasym.mellin` to apply; heavier-tailed models
-such as log-normal are rejected outright.
+such as log-normal are rejected outright.  Models are checked once, by
+:func:`validate_model` when a network is built; the functions below trust
+their model.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -135,12 +136,12 @@ def _pole_spacing(model: FadingModel) -> float:
     return model.shape if model.variant == WEIBULL else 1.0
 
 
-def _lattice_distance(model: FadingModel, s: complex) -> float:
-    """Distance from s to the nearest pole of the model's moment function."""
+def _lattice_distance(model: FadingModel, s: np.ndarray) -> np.ndarray:
+    """Distance from each element of s to the nearest pole of the model's moment function."""
     r0 = _rightmost_pole(model)
     step = _pole_spacing(model)
-    j = max(0.0, round((r0 - s.real) / step))
-    return abs(s - (r0 - step * j))
+    j = np.maximum(0.0, np.round((r0 - s.real) / step))
+    return np.abs(s - (r0 - step * j))
 
 
 def pdf(model: FadingModel, x: float) -> float:
@@ -149,7 +150,6 @@ def pdf(model: FadingModel, x: float) -> float:
     Evaluated in log space where the density contains I0 factors, so Rician
     and Hoyt tails never overflow.
     """
-    validate_model(model)
     x = float(x)
     if x < 0.0:
         return 0.0
@@ -184,13 +184,19 @@ def pdf(model: FadingModel, x: float) -> float:
     return math.exp(log_pref - decay + specfun.log_bessel_i0(arg))
 
 
-def log_moment(model: FadingModel, s: complex) -> complex:
-    """Principal-branch log of E[X^s]; the building block of moment products."""
-    validate_model(model)
-    s = complex(s)
-    if _lattice_distance(model, s) < POLE_MERGE_TOL:
+def log_moment(model: FadingModel, s):
+    """Principal-branch log of E[X^s]; the building block of moment products.
+
+    Elementwise on a complex array s (scalar in, scalar out), so a whole
+    residue contour is one call.  Raises PoleAtArgumentError if any element
+    lies within POLE_MERGE_TOL of a pole.
+    """
+    s = np.asarray(s, dtype=complex)
+    near = _lattice_distance(model, s) < POLE_MERGE_TOL
+    if np.any(near):
         raise PoleAtArgumentError(
-            f"moment of {model.variant} evaluated within {POLE_MERGE_TOL} of a pole at s={s}"
+            f"moment of {model.variant} evaluated within {POLE_MERGE_TOL} of a pole "
+            f"at s={s[near][0]}"
         )
     shape, theta = model.shape, model.scale
     if model.variant == NAKAGAMI:
@@ -203,7 +209,7 @@ def log_moment(model: FadingModel, s: complex) -> complex:
             -k
             + s * math.log(theta / (k + 1.0))
             + specfun.log_gamma(s + 1.0)
-            + cmath.log(specfun.kummer_1f1(s + 1.0, 1.0, k))
+            + np.log(specfun.kummer_1f1(s + 1.0, 1.0, k))
         )
     q = shape
     q2 = q * q
@@ -212,18 +218,18 @@ def log_moment(model: FadingModel, s: complex) -> complex:
         (2.0 * s + 1.0) * math.log(2.0 * q / (1.0 + q2))
         + s * math.log(theta)
         + specfun.log_gamma(s + 1.0)
-        + cmath.log(specfun.gauss_2f1((s + 1.0) / 2.0, (s + 2.0) / 2.0, 1.0, z))
+        + np.log(specfun.gauss_2f1((s + 1.0) / 2.0, (s + 2.0) / 2.0, 1.0, z))
     )
 
 
-def moment(model: FadingModel, s: complex) -> complex:
-    """E[X^s] for complex s away from the pole lattice.
+def moment(model: FadingModel, s):
+    """E[X^s] for complex s (scalar or array) away from the pole lattice.
 
     The defining formulas continue meromorphically, so any non-pole point of
     the continuation is a valid argument, not just Re(s) above the rightmost
     pole.
     """
-    return cmath.exp(log_moment(model, s))
+    return np.exp(log_moment(model, s))
 
 
 def mellin_poles(model: FadingModel, re_min: float) -> list[PoleSpec]:
@@ -233,7 +239,6 @@ def mellin_poles(model: FadingModel, re_min: float) -> list[PoleSpec]:
     factors are entire in s.  Order aggregation across hops happens in the
     mellin module.
     """
-    validate_model(model)
     r0 = _rightmost_pole(model)
     step = _pole_spacing(model)
     out: list[PoleSpec] = []
@@ -250,7 +255,6 @@ def sample(model: FadingModel, rng, size: int | None = None):
     ``rng`` is either a numpy Generator or a montecarlo.RandomStream.
     Scalar draw when size is None, ndarray otherwise.
     """
-    validate_model(model)
     gen = getattr(rng, "generator", rng)
     n = 1 if size is None else int(size)
     shape, theta = model.shape, model.scale

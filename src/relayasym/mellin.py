@@ -11,7 +11,6 @@ those polynomials are what :class:`AsymptoticExpansion` stores.
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -146,12 +145,9 @@ def composition_term(network: NetworkConfig, ell: tuple[int, ...]) -> Compositio
     return CompositionTerm(tuple(ell), lam, tuple(partial), coeff)
 
 
-def product_moment(network: NetworkConfig, s: complex) -> complex:
-    """G(s): the product of per-hop moments, accumulated in log space."""
-    total = 0.0 + 0.0j
-    for hop in network.hops:
-        total += log_moment(hop.model, s)
-    return cmath.exp(total)
+def product_moment(network: NetworkConfig, s):
+    """G(s): the product of per-hop moments, accumulated in log space (s scalar or array)."""
+    return np.exp(sum(log_moment(hop.model, s) for hop in network.hops))
 
 
 def _gamma_ratio_prefactor(lambda_total: int):
@@ -243,24 +239,18 @@ def enumerate_poles(network: NetworkConfig, shifts, lambda_total: int, re_min: f
 
 
 def _term_integrand(network: NetworkConfig, shifts, lambda_total: int):
-    """The residue-engine integrand of one composition term, minus xi^-s."""
+    """The residue-engine integrand of one composition term, minus xi^-s.
+
+    Takes a whole array of nodes: one log_moment call per hop.
+    """
     prefactor, _, _ = _gamma_ratio_prefactor(lambda_total)
     models = [hop.model for hop in network.hops]
 
-    def f(s: complex) -> complex:
-        acc = 0.0 + 0.0j
-        for model, lam_j in zip(models, shifts):
-            acc += log_moment(model, s + lam_j)
-        return prefactor(s) * cmath.exp(acc)
+    def f(s: np.ndarray) -> np.ndarray:
+        acc = sum(log_moment(model, s + lam_j) for model, lam_j in zip(models, shifts))
+        return prefactor(s) * np.exp(acc)
 
     return f
-
-
-def _contour_samples(f, s0: float, k: int, radius: float):
-    phi = 2.0 * math.pi * np.arange(CONTOUR_NODES) / CONTOUR_NODES
-    ring = radius * np.exp(1j * phi)
-    fv = np.array([f(s0 + z) for z in ring], dtype=complex)
-    return ring, fv
 
 
 def _extract_derivatives(ring, fv, k: int) -> list[float]:
@@ -282,41 +272,39 @@ def _extract_derivatives(ring, fv, k: int) -> list[float]:
 
 
 def residue_at(f, pole: PoleSpec, context: float) -> list[float]:
-    """Laurent data of f at a pole of known order.
+    """Laurent data of f at a pole, with the order reduced where it is spurious.
 
     Returns [H(s0), H'(s0), ..., H^(k-1)(s0)] for H(s) = (s-s0)^k f(s),
     computed by trapezoidal quadrature on a circle of radius
     min(0.4*context, 0.5); spectrally accurate and free of the cancellation
-    that high-order finite differences would suffer.
+    that high-order finite differences would suffer.  k starts at
+    pole.order and drops while |H(s0)| is numerically zero (a hypergeometric
+    zero cancelling a gamma pole), so len(result) is the effective order.
+    f must take the whole array of contour nodes in one call.
     """
     k = pole.order
     s0 = pole.location.real
     radius = min(RADIUS_SAFETY * context, MAX_CONTOUR_RADIUS)
-    ring, fv = _contour_samples(f, s0, k, radius)
-    return _extract_derivatives(ring, fv, k)
-
-
-def _laurent_with_order_reduction(f, s0: float, k: int, context: float):
-    """Like residue_at, but drops the order while |H(s0)| is numerically zero."""
-    radius = min(RADIUS_SAFETY * context, MAX_CONTOUR_RADIUS)
-    ring, fv = _contour_samples(f, s0, k, radius)
+    ring = radius * np.exp(2j * math.pi * np.arange(CONTOUR_NODES) / CONTOUR_NODES)
+    fv = f(s0 + ring)
     while True:
         derivs = _extract_derivatives(ring, fv, k)
         scale = float(np.abs(ring**k * fv).max())
         if k > 1 and abs(derivs[0]) < ORDER_DROP_TOL * scale:
             k -= 1
             continue
-        return k, derivs
+        return derivs
 
 
-def _rebase_coefficients(multiplier: float, derivs, k: int, s0: float, a_scale: float):
+def _rebase_coefficients(multiplier: float, derivs, s0: float, a_scale: float):
     """Turn residue Laurent data into ln(gamma_bar) polynomial coefficients.
 
-    The residue at s0 of xi^-s f(s) is
+    With k = len(derivs), the residue at s0 of xi^-s f(s) is
     xi^-s0 / (k-1)! * sum_m C(k-1,m) H^(k-1-m)(s0) (-ln xi)^m
     and xi = a_scale / gamma_bar, so (-ln xi)^m is expanded binomially in
     ln(gamma_bar), exactly.
     """
+    k = len(derivs)
     ln_a = math.log(a_scale)
     pref = multiplier * a_scale ** (-s0) / math.gamma(k)
     coeffs = np.zeros(k)
@@ -372,10 +360,26 @@ def leading_term(network: NetworkConfig):
     wide = _pole_contributions(network, shifts, 0, s0 - 2.5)
     context = _context_distance(s0, [loc for loc, _ in wide])
     f = _term_integrand(network, shifts, 0)
-    k_eff, derivs = _laurent_with_order_reduction(f, s0, k, context)
+    derivs = residue_at(f, PoleSpec(complex(s0), k), context)
     a_scale = network.gamma_t * network.hops[-1].rho
-    coeffs = _rebase_coefficients(-1.0, derivs, k_eff, s0, a_scale)
-    return AsymptoteTerm(s0, tuple(coeffs)), s0, k_eff
+    coeffs = _rebase_coefficients(-1.0, derivs, s0, a_scale)
+    return AsymptoteTerm(s0, tuple(coeffs)), s0, len(derivs)
+
+
+def _trimmed_terms(exponents, coeff_lists) -> tuple[AsymptoteTerm, ...]:
+    """Accumulated coefficients as terms by descending exponent, trailing zeros dropped."""
+    terms = []
+    for exponent, coeffs in zip(exponents, coeff_lists):
+        trim_tol = 1e-12 * max(1e-300, float(np.abs(coeffs).max()))
+        last = None
+        for i, c in enumerate(coeffs):
+            if abs(c) > trim_tol:
+                last = i
+        if last is None:
+            continue
+        terms.append(AsymptoteTerm(exponent, tuple(float(c) for c in coeffs[: last + 1])))
+    terms.sort(key=lambda t: t.exponent, reverse=True)
+    return tuple(terms)
 
 
 def build_expansion(
@@ -392,7 +396,8 @@ def build_expansion(
     1 and cancels the leading 1 of the outage formula, so it never appears as
     a term.  If ``warn_gamma_bar`` is given, the lambda_max and lambda_max-1
     truncations are compared there and a TruncationWarning is emitted when
-    they differ by more than 10% (formal-series divergence signal).
+    they differ by more than 10% (formal-series divergence signal); the
+    lambda_max-1 truncation is the partial sum before the last order.
     """
     if lambda_max < 0:
         raise ValueError("lambda_max must be >= 0")
@@ -417,7 +422,13 @@ def build_expansion(
         exponents.append(exponent)
         coeff_lists.append(coeffs.astype(float).copy())
 
+    lower = None
     for lam in range(lambda_max + 1):
+        if warn_gamma_bar is not None and lam == lambda_max and lam >= 1:
+            # the lambda_max - 1 truncation, snapshot before the last order
+            lower = AsymptoticExpansion(
+                _trimmed_terms(exponents, coeff_lists), lam - 1, re_min, network
+            )
         for ell in weak_compositions(lam, n - 1):
             term = composition_term(network, ell)
             shifts = term.lambda_partial
@@ -431,26 +442,14 @@ def build_expansion(
                 loc = pole.location.real
                 if lam == 0 and abs(loc) < POLE_MERGE_TOL:
                     continue  # cancels the leading 1
-                context = _context_distance(loc, wide_locs)
-                k_eff, derivs = _laurent_with_order_reduction(f, loc, pole.order, context)
-                coeffs = _rebase_coefficients(-term.coefficient, derivs, k_eff, loc, a_scale)
-                accumulate(loc, coeffs)
+                derivs = residue_at(f, pole, _context_distance(loc, wide_locs))
+                accumulate(loc, _rebase_coefficients(-term.coefficient, derivs, loc, a_scale))
 
-    terms = []
-    for exponent, coeffs in zip(exponents, coeff_lists):
-        trim_tol = 1e-12 * max(1e-300, float(np.abs(coeffs).max()))
-        last = None
-        for i, c in enumerate(coeffs):
-            if abs(c) > trim_tol:
-                last = i
-        if last is None:
-            continue
-        terms.append(AsymptoteTerm(exponent, tuple(float(c) for c in coeffs[: last + 1])))
-    terms.sort(key=lambda t: t.exponent, reverse=True)
-    expansion = AsymptoticExpansion(tuple(terms), lambda_max, re_min, network)
+    expansion = AsymptoticExpansion(
+        _trimmed_terms(exponents, coeff_lists), lambda_max, re_min, network
+    )
 
-    if warn_gamma_bar is not None and lambda_max >= 1:
-        lower = build_expansion(network, lambda_max - 1, re_min)
+    if lower is not None:
         hi_val = evaluate_expansion(expansion, warn_gamma_bar)
         lo_val = evaluate_expansion(lower, warn_gamma_bar)
         if hi_val > 0 and abs(hi_val - lo_val) > 0.1 * hi_val:

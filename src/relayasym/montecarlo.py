@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import integrate
-from scipy.special import chndtr, gammaincc
-from scipy.stats import beta as _beta_dist
+from scipy.special import betaincinv, chndtr, gammaincc
 
 from .channels import FadingModel, HOYT, NAKAGAMI, RICIAN, WEIBULL, pdf, sample
 from .errors import (
@@ -71,11 +70,11 @@ class OutageEstimate:
 
 
 def clopper_pearson(n_successes: int, n_trials: int, confidence: float = 0.95):
-    """Exact binomial confidence interval (equal-tailed)."""
+    """Exact binomial confidence interval (equal-tailed), from beta quantiles."""
     k, n = int(n_successes), int(n_trials)
     alpha = 1.0 - confidence
-    low = 0.0 if k == 0 else float(_beta_dist.ppf(alpha / 2.0, k, n - k + 1))
-    high = 1.0 if k == n else float(_beta_dist.ppf(1.0 - alpha / 2.0, k + 1, n - k))
+    low = 0.0 if k == 0 else float(betaincinv(k, n - k + 1, alpha / 2.0))
+    high = 1.0 if k == n else float(betaincinv(k + 1, n - k, 1.0 - alpha / 2.0))
     return low, high
 
 
@@ -223,7 +222,8 @@ def _hoyt_survival(model: FadingModel, a: float) -> float:
     polar coordinates gives P(X > a) = mean over phi of exp(-a/(2 v(phi)))
     with v(phi) = s1 cos^2 + s2 sin^2.  The integrand is smooth and periodic,
     so the uniform trapezoid rule converges spectrally; nodes are doubled
-    until the value settles.
+    until the value settles, and QuadratureConvergenceError is raised if it
+    has not settled at 16384 nodes.
     """
     q2 = model.shape**2
     s1 = model.scale / (1.0 + q2)
@@ -238,7 +238,9 @@ def _hoyt_survival(model: FadingModel, a: float) -> float:
             return val
         prev = val
         m *= 2
-    return prev
+    raise QuadratureConvergenceError(
+        f"Hoyt tail (q={model.shape:g}, a={a:g}) did not settle at 16384 trapezoid nodes"
+    )
 
 
 def _chain_survival(network: NetworkConfig, xis, j: int, w: float, epsabs: float) -> float:

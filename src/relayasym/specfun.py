@@ -1,35 +1,18 @@
 """Complex-argument special functions for the moment formulas.
 
 Only the functions the channel moment formulas actually need are provided:
-the gamma function and its log on the complex plane, the confluent and Gauss
-hypergeometric functions (analytic in their numerator parameters), and the
-modified Bessel function I0 appearing in the Rician/Hoyt densities.
+log-gamma on the complex plane, the confluent and Gauss hypergeometric
+functions (analytic in their numerator parameters), and ln I0 for the
+Rician/Hoyt densities.  All of them act elementwise on arrays, so a whole
+residue contour is one call.
 """
 
 from __future__ import annotations
 
-import cmath
-import math
+import numpy as np
+from scipy.special import i0e, loggamma
 
 from .errors import ArgumentRangeError, PoleAtArgumentError, SeriesDivergenceError
-
-# Lanczos approximation, g = 7, 9 coefficients.  Relative error is a few
-# parts in 1e14 over the right half-plane, comfortably inside the 1e-12
-# budget that the residue engine needs.
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-_LN_SQRT_2PI = 0.9189385332046727  # ln(sqrt(2*pi))
 
 GAMMA_POLE_TOL = 1e-12
 
@@ -40,154 +23,90 @@ KUMMER_Z_BOUND = 30.0
 _MAX_SERIES_TERMS = 20000
 
 
-def _check_gamma_pole(z: complex) -> None:
-    if abs(z.imag) <= GAMMA_POLE_TOL:
-        nearest = round(z.real)
-        if nearest <= 0 and abs(z.real - nearest) <= GAMMA_POLE_TOL:
-            raise PoleAtArgumentError(
-                f"gamma evaluated within {GAMMA_POLE_TOL} of pole at {nearest}"
-            )
-
-
-def _lanczos_series(z: complex) -> complex:
-    # z is shifted so the series is evaluated at z-1.
-    x = complex(_LANCZOS_COEF[0])
-    for i, c in enumerate(_LANCZOS_COEF[1:], start=1):
-        x += c / (z - 1.0 + i)
-    return x
-
-
-def complex_gamma(z: complex) -> complex:
-    """Gamma function for complex argument.
-
-    Uses the Lanczos rational approximation with the reflection formula for
-    Re(z) < 0.5.  Raises :class:`PoleAtArgumentError` within 1e-12 of a
-    non-positive integer.
-    """
-    z = complex(z)
-    _check_gamma_pole(z)
-    if z.real < 0.5:
-        # Reflection: gamma(z) gamma(1-z) = pi / sin(pi z)
-        return math.pi / (cmath.sin(math.pi * z) * complex_gamma(1.0 - z))
-    x = _lanczos_series(z)
-    t = z + (_LANCZOS_G - 0.5)
-    return math.sqrt(2.0 * math.pi) * t ** (z - 0.5) * cmath.exp(-t) * x
-
-
-def log_gamma(z: complex) -> complex:
+def log_gamma(z):
     """Principal branch of log-gamma, analytic off the negative real axis.
 
-    For Re(z) < 0.5 the value is obtained through the recurrence
-    lgamma(z) = lgamma(z+n) - sum(log(z+k)), which continues the principal
-    branch instead of taking the (wildly discontinuous) log of gamma(z).
-    exp(log_gamma(z)) == complex_gamma(z) up to rounding everywhere.
+    Elementwise on a complex array (scalar in, scalar out).  Raises
+    :class:`PoleAtArgumentError` if any element lies within 1e-12 of a
+    non-positive integer.
     """
-    z = complex(z)
-    _check_gamma_pole(z)
-    if z.real < 0.5:
-        shift = int(math.ceil(1.5 - z.real))
-        acc = 0.0 + 0.0j
-        for k in range(shift):
-            acc += cmath.log(z + k)
-        return log_gamma(z + shift) - acc
-    x = _lanczos_series(z)
-    t = z + (_LANCZOS_G - 0.5)
-    return _LN_SQRT_2PI + (z - 0.5) * cmath.log(t) - t + cmath.log(x)
+    z = np.asarray(z, dtype=complex)
+    nearest = np.round(z.real)
+    at_pole = (np.abs(z.imag) <= GAMMA_POLE_TOL) & (nearest <= 0) & (
+        np.abs(z.real - nearest) <= GAMMA_POLE_TOL
+    )
+    if np.any(at_pole):
+        raise PoleAtArgumentError(
+            f"gamma evaluated within {GAMMA_POLE_TOL} of pole at {nearest[at_pole][0]:g}"
+        )
+    return loggamma(z)
 
 
-def kummer_1f1(a: complex, b: float, z: float, z_bound: float = KUMMER_Z_BOUND) -> complex:
-    """Confluent hypergeometric function 1F1(a, b; z) for real z.
+def _check_denominator(fn: str, name: str, c: float) -> None:
+    if c <= 0 and abs(c - round(c)) <= GAMMA_POLE_TOL:
+        raise PoleAtArgumentError(f"{fn} undefined for {name}={c} (non-positive integer)")
+
+
+def _series(numerators, c: float, z: float):
+    """sum_k prod_i (a_i)_k / (c)_k z^k / k!, elementwise over the a_i arrays.
+
+    Stops once every element's last term is below 1e-16 of its running sum.
+    """
+    numerators = [np.asarray(a, dtype=complex) for a in numerators]
+    term = np.ones(np.broadcast(*numerators).shape, dtype=complex)
+    total = term.copy()
+    for k in range(_MAX_SERIES_TERMS):
+        num = numerators[0] + k
+        for a in numerators[1:]:
+            num = num * (a + k)
+        term = term * (num * z / ((c + k) * (k + 1)))
+        total += term
+        if k > 2 and np.all(np.abs(term) <= 1e-16 * np.abs(total)):
+            return total[()]
+    raise SeriesDivergenceError("hypergeometric series stalled before convergence")
+
+
+def kummer_1f1(a, b: float, z: float, z_bound: float = KUMMER_Z_BOUND):
+    """Confluent hypergeometric function 1F1(a, b; z) for real z, elementwise in a.
 
     Direct Taylor series with term-ratio stopping; entire in ``a``.  Negative
     arguments are routed through the Kummer transformation
     1F1(a,b;z) = e^z 1F1(b-a, b; -z) so the series never alternates.
     """
-    a = complex(a)
     b = float(b)
     z = float(z)
     if abs(z) > z_bound:
         raise ArgumentRangeError(
             f"1F1 argument |z|={abs(z):g} exceeds supported bound {z_bound:g}"
         )
-    if b <= 0 and abs(b - round(b)) <= GAMMA_POLE_TOL:
-        raise PoleAtArgumentError(f"1F1 undefined for b={b} (non-positive integer)")
+    _check_denominator("1F1", "b", b)
     if z < 0:
-        return cmath.exp(z) * kummer_1f1(b - a, b, -z, z_bound=z_bound)
-    term = 1.0 + 0.0j
-    total = 1.0 + 0.0j
-    for k in range(_MAX_SERIES_TERMS):
-        term *= (a + k) * z / ((b + k) * (k + 1))
-        total += term
-        if abs(term) <= 1e-16 * abs(total):
-            return total
-    raise ArgumentRangeError("1F1 series did not converge")  # pragma: no cover
+        return np.exp(z) * _series([b - a], b, -z)
+    return _series([a], b, z)
 
 
-def gauss_2f1(a: complex, b: complex, c: float, z: float) -> complex:
-    """Gauss hypergeometric function 2F1(a, b; c; z) on 0 <= z < 1.
+def gauss_2f1(a, b, c: float, z: float):
+    """Gauss hypergeometric function 2F1(a, b; c; z) on 0 <= z < 1, elementwise in a, b.
 
     Gauss series for z <= 0.75.  Closer to the convergence boundary the Euler
     transformation 2F1(a,b;c;z) = (1-z)^(c-a-b) 2F1(c-a, c-b; c; z) is used,
     where the transformed series converges for the parameter combinations the
     Hoyt moments produce as q -> 0.
     """
-    a = complex(a)
-    b = complex(b)
     c = float(c)
     z = float(z)
     if z < 0.0:
         raise ArgumentRangeError(f"2F1 argument z={z:g} below supported range")
     if z >= 1.0:
         raise SeriesDivergenceError(f"2F1 series diverges at z={z:g} >= 1")
-    if c <= 0 and abs(c - round(c)) <= GAMMA_POLE_TOL:
-        raise PoleAtArgumentError(f"2F1 undefined for c={c} (non-positive integer)")
+    _check_denominator("2F1", "c", c)
     if z > 0.75:
-        pref = cmath.exp((c - a - b) * math.log1p(-z))
-        return pref * _gauss_series(c - a, c - b, c, z)
-    return _gauss_series(a, b, c, z)
+        pref = np.exp((c - a - b) * np.log1p(-z))
+        return pref * _series([c - a, c - b], c, z)
+    return _series([a, b], c, z)
 
 
-def _gauss_series(a: complex, b: complex, c: float, z: float) -> complex:
-    term = 1.0 + 0.0j
-    total = 1.0 + 0.0j
-    for k in range(_MAX_SERIES_TERMS):
-        term *= (a + k) * (b + k) * z / ((c + k) * (k + 1))
-        total += term
-        if abs(term) <= 1e-16 * abs(total) and k > 2:
-            return total
-    raise SeriesDivergenceError("2F1 series stalled before convergence")
-
-
-def bessel_i0(x: float) -> float:
-    """Modified Bessel function I0(x); even in x.
-
-    All-positive power series, so there is no cancellation at any argument.
-    Raises OverflowError once the value exceeds double range (|x| > ~713).
-    """
-    x = float(x)
-    q = 0.25 * x * x
-    term = 1.0
-    total = 1.0
-    for k in range(_MAX_SERIES_TERMS):
-        term *= q / ((k + 1) * (k + 1))
-        total += term
-        if not math.isfinite(total):
-            raise OverflowError(f"I0({x:g}) exceeds double-precision range")
-        if term <= 1e-17 * total:
-            return total
-    raise OverflowError("I0 series did not terminate")  # pragma: no cover
-
-
-def log_bessel_i0(x: float) -> float:
-    """ln I0(x), safe for arguments where I0 itself would overflow."""
-    x = abs(float(x))
-    if x < 50.0:
-        return math.log(bessel_i0(x))
-    # Asymptotic expansion: I0(x) ~ e^x / sqrt(2 pi x) * sum_k t_k,
-    # t_k = ((2k-1)!!)^2 / (k! (8x)^k); truncation error < 1e-14 for x >= 50.
-    total = 1.0
-    term = 1.0
-    for k in range(1, 12):
-        term *= (2 * k - 1) ** 2 / (8.0 * x * k)
-        total += term
-    return x - 0.5 * math.log(2.0 * math.pi * x) + math.log(total)
+def log_bessel_i0(x):
+    """ln I0(x), even in x, safe where I0 itself would overflow."""
+    x = np.abs(x)
+    return x + np.log(i0e(x))

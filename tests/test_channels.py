@@ -136,6 +136,23 @@ def test_moment_pole_raises():
         channels.moment(F.rician(2.0), -3.0 + 1e-12j)
 
 
+def test_log_moment_array_matches_scalar_calls():
+    # residue-style rings: 64 nodes on a circle around each pole, one call per ring
+    phi = 2.0 * math.pi * np.arange(64) / 64
+    models = (F.nakagami(1.8), F.weibull(2.2), F.rician(3.0), F.hoyt(0.5), F.hoyt(0.25))
+    for model in models:
+        for pole in channels.mellin_poles(model, -4.0):
+            ring = pole.location + 0.4 * np.exp(1j * phi)
+            got = channels.log_moment(model, ring)
+            assert got.shape == ring.shape
+            want = np.array([channels.log_moment(model, s) for s in ring])
+            np.testing.assert_allclose(np.exp(got), np.exp(want), rtol=1e-14, err_msg=str(model))
+            # one node within the merge tolerance of the pole poisons the whole ring
+            ring[5] = pole.location + 0.5 * channels.POLE_MERGE_TOL
+            with pytest.raises(PoleAtArgumentError):
+                channels.log_moment(model, ring)
+
+
 # ---------------------------------------------------------------------------
 # pole lattices
 # ---------------------------------------------------------------------------

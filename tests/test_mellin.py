@@ -1,15 +1,14 @@
-import cmath
 import math
 import warnings
 
 import numpy as np
 import pytest
+from scipy import special
 
 from relayasym import channels, mellin, montecarlo
 from relayasym.channels import FadingModel, HopConfig, PoleSpec
 from relayasym.errors import ConditioningWarning, IllConditionedContourError, TruncationWarning
 from relayasym.mellin import NetworkConfig
-from relayasym.specfun import complex_gamma
 
 from conftest import REFERENCE_CONFIGS, make_network, rayleigh_chain
 
@@ -122,7 +121,7 @@ def test_near_coincident_warning():
 
 
 def test_residue_at_gamma_poles():
-    f = lambda s: complex_gamma(s)
+    f = special.gamma
     assert mellin.residue_at(f, PoleSpec(0j, 1), 1.0)[0] == pytest.approx(1.0, abs=1e-12)
     assert mellin.residue_at(f, PoleSpec(-1 + 0j, 1), 1.0)[0] == pytest.approx(-1.0, abs=1e-12)
     # (-1)^j / j! law a bit deeper
@@ -132,15 +131,23 @@ def test_residue_at_gamma_poles():
 
 
 def test_residue_at_double_pole_gamma_squared():
-    f = lambda s: complex_gamma(s) ** 2
+    f = lambda s: special.gamma(s) ** 2
     h0, h1 = mellin.residue_at(f, PoleSpec(0j, 2), 1.0)
     assert h0 == pytest.approx(1.0, abs=1e-10)
     # the classical residue is H'(0) = -2 euler_gamma
     assert h1 == pytest.approx(-2.0 * EULER_GAMMA, abs=1e-9)
 
 
+def test_residue_at_drops_spurious_order():
+    # 1F1(-1,1;1) = 0 cancels the Rician K=1 gamma pole at s = -2, so the
+    # candidate double pole of Rician(1) x Rayleigh there is simple
+    net = make_network([F.rician(1.0), F.nakagami(1.0)])
+    derivs = mellin.residue_at(lambda s: mellin.product_moment(net, s), PoleSpec(-2 + 0j, 2), 1.0)
+    assert len(derivs) == 1
+
+
 def test_residue_ill_conditioned_contour():
-    f = lambda s: cmath.exp(60.0 / s) / s
+    f = lambda s: np.exp(60.0 / s) / s
     with pytest.raises(IllConditionedContourError):
         mellin.residue_at(f, PoleSpec(0j, 1), 10.0)
 

@@ -1,12 +1,21 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import gammainc, k1 as scipy_k1
 
+import relayasym
 from relayasym import mellin, montecarlo
 from relayasym.channels import FadingModel
-from relayasym.errors import DimensionMismatchError, UnsupportedNetworkError
+from relayasym.errors import (
+    DimensionMismatchError,
+    QuadratureConvergenceError,
+    UnsupportedNetworkError,
+)
 from relayasym.montecarlo import (
     OutageEstimate,
     RandomStream,
@@ -119,6 +128,28 @@ def test_clopper_pearson_edges():
     assert high == 1.0 and 0.95 < low < 1.0
 
 
+def test_clopper_pearson_frozen_values():
+    # frozen from scipy.stats.beta.ppf, which betaincinv reproduces bit for bit
+    want = {
+        (5, 1000): (0.0016254195175627604, 0.011629470559812147),
+        (1, 2): (0.01257911709342506, 0.9874208829065749),
+        (37, 2097152): (1.2422311954286578e-05, 2.4318435629140274e-05),
+        (0, 100): (0.0, 0.03621669264517641),
+        (100, 100): (0.9637833073548235, 1.0),
+    }
+    for (k, n), interval in want.items():
+        assert montecarlo.clopper_pearson(k, n) == interval, (k, n)
+
+
+def test_import_leaves_out_scipy_stats():
+    src = str(Path(relayasym.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, relayasym; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 # ---------------------------------------------------------------------------
 # quadrature oracle
 # ---------------------------------------------------------------------------
@@ -157,6 +188,13 @@ def test_oracle_monotone_in_gamma_bar():
     a = oracle_outage(net, 1e3, abs_tol=1e-6)
     b = oracle_outage(net, 1e4, abs_tol=1e-6)
     assert a > b > 0.0
+
+
+def test_hoyt_survival_raises_when_unsettled():
+    # q = 1e-3 squeezes the polar integrand into a spike the 16384-node rule
+    # cannot resolve: the 8192- and 16384-node values still differ by ~1e-10
+    with pytest.raises(QuadratureConvergenceError):
+        montecarlo._hoyt_survival(F.hoyt(1e-3), 1e-4)
 
 
 def test_oracle_rejects_large_networks():
