@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import dataclass, field
 
 from . import analysis, mellin, montecarlo
-from .channels import FadingModel, HopConfig, validate_model
+# validate_model stays a name of this module: the benchmark tracer wraps
+# cli.validate_model.  NetworkConfig calls it on every hop.
+from .channels import FadingModel, HopConfig, validate_model  # noqa: F401
 from .errors import (
     ArgumentRangeError,
     IllConditionedContourError,
@@ -125,17 +126,14 @@ def parse_config(text: str, command: str = "poles", **options) -> RunConfig:
     if not isinstance(hops_doc, list) or not hops_doc:
         raise _schema_error("'hops' must be a non-empty list")
     hops = [_parse_hop(entry, i) for i, entry in enumerate(hops_doc)]
-    if abs(hops[0].rho - 1.0) > 1e-12:
-        raise _schema_error(f"first hop must have rho = 1, got {hops[0].rho}")
-    for i, hop in enumerate(hops):
-        if not (math.isfinite(hop.rho) and hop.rho > 0):
-            raise _schema_error(f"hops[{i}].rho must be positive and finite")
-        validate_model(hop.model)  # ModelValidationError -> exit 3
-    if not (math.isfinite(gamma_t) and gamma_t > 0):
-        raise _schema_error(f"gamma_t must be positive and finite, got {gamma_t}")
+    try:
+        network = NetworkConfig(hops=tuple(hops), gamma_t=gamma_t)
+    except ModelValidationError:
+        raise  # exit 3
+    except ValueError as exc:  # rho, first-hop rho or gamma_t: exit 2
+        raise _schema_error(str(exc)) from exc
     if command not in COMMANDS:
         raise _schema_error(f"unknown command {command!r}")
-    network = NetworkConfig(hops=tuple(hops), gamma_t=gamma_t)
     return RunConfig(network=network, command=command, **options)
 
 

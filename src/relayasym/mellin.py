@@ -238,23 +238,36 @@ def enumerate_poles(network: NetworkConfig, shifts, lambda_total: int, re_min: f
     return out
 
 
-def _term_integrand(network: NetworkConfig, shifts, lambda_total: int):
+def _term_integrand(network: NetworkConfig, shifts, lambda_total: int, rings: dict):
     """The residue-engine integrand of one composition term, minus xi^-s.
 
-    Takes a whole array of nodes: one log_moment call per hop.
+    Takes a whole array of nodes: one log_moment ring per hop.  ``rings``
+    memoises those rings by (model, exact node bytes); the terms of one
+    expansion share it, so a shifted ring that several weak compositions
+    and poles meet is evaluated once, and a hit is the array a fresh call
+    would return.
     """
     prefactor, _, _ = _gamma_ratio_prefactor(lambda_total)
     models = [hop.model for hop in network.hops]
 
+    def log_ring(model, nodes: np.ndarray) -> np.ndarray:
+        key = (model, nodes.tobytes())
+        if key not in rings:
+            rings[key] = log_moment(model, nodes)
+        return rings[key]
+
     def f(s: np.ndarray) -> np.ndarray:
-        acc = sum(log_moment(model, s + lam_j) for model, lam_j in zip(models, shifts))
+        acc = sum(log_ring(model, s + lam_j) for model, lam_j in zip(models, shifts))
         return prefactor(s) * np.exp(acc)
 
     return f
 
 
-def _extract_derivatives(ring, fv, k: int) -> list[float]:
-    """H^(n)(s0) for n < k, where H(s) = (s-s0)^k f(s), via Fourier extraction."""
+def _extract_derivatives(ring, fv, k: int) -> tuple[list[float], float]:
+    """H^(n)(s0) for n < k, where H(s) = (s-s0)^k f(s), via Fourier extraction.
+
+    Also returns max |H| on the contour, the scale of those derivatives.
+    """
     h_ring = ring**k * fv
     mags = np.abs(h_ring)
     lo, hi = mags.min(), mags.max()
@@ -268,7 +281,7 @@ def _extract_derivatives(ring, fv, k: int) -> list[float]:
     for n in range(k):
         coeff = np.mean(h_ring * phases ** (-n)) * math.factorial(n) / radius**n
         out.append(float(coeff.real))
-    return out
+    return out, float(hi)
 
 
 def residue_at(f, pole: PoleSpec, context: float) -> list[float]:
@@ -288,8 +301,7 @@ def residue_at(f, pole: PoleSpec, context: float) -> list[float]:
     ring = radius * np.exp(2j * math.pi * np.arange(CONTOUR_NODES) / CONTOUR_NODES)
     fv = f(s0 + ring)
     while True:
-        derivs = _extract_derivatives(ring, fv, k)
-        scale = float(np.abs(ring**k * fv).max())
+        derivs, scale = _extract_derivatives(ring, fv, k)
         if k > 1 and abs(derivs[0]) < ORDER_DROP_TOL * scale:
             k -= 1
             continue
@@ -331,7 +343,7 @@ def _context_distance(location: float, others) -> float:
 def origin_residue(network: NetworkConfig) -> float:
     """Numeric residue of the lambda_N = 0 integrand at s = 0 (must be 1)."""
     s0_right = _rightmost_network_pole(network)
-    f = _term_integrand(network, (0,) * network.n_hops, 0)
+    f = _term_integrand(network, (0,) * network.n_hops, 0, {})
     context = abs(s0_right)
     return residue_at(f, PoleSpec(0.0 + 0.0j, 1), context)[0]
 
@@ -359,7 +371,7 @@ def leading_term(network: NetworkConfig):
     shifts = (0,) * network.n_hops
     wide = _pole_contributions(network, shifts, 0, s0 - 2.5)
     context = _context_distance(s0, [loc for loc, _ in wide])
-    f = _term_integrand(network, shifts, 0)
+    f = _term_integrand(network, shifts, 0, {})
     derivs = residue_at(f, PoleSpec(complex(s0), k), context)
     a_scale = network.gamma_t * network.hops[-1].rho
     coeffs = _rebase_coefficients(-1.0, derivs, s0, a_scale)
@@ -409,6 +421,7 @@ def build_expansion(
 
     exponents: list[float] = []
     coeff_lists: list[np.ndarray] = []
+    rings: dict = {}  # log_moment rings shared by every term of this build
 
     def accumulate(exponent: float, coeffs: np.ndarray) -> None:
         for i, rep in enumerate(exponents):
@@ -437,7 +450,7 @@ def build_expansion(
                 continue
             wide = _pole_contributions(network, shifts, lam, re_min - 2.0)
             wide_locs = [loc for loc, _ in wide]
-            f = _term_integrand(network, shifts, lam)
+            f = _term_integrand(network, shifts, lam, rings)
             for pole in poles:
                 loc = pole.location.real
                 if lam == 0 and abs(loc) < POLE_MERGE_TOL:

@@ -85,6 +85,11 @@ def test_parse_rejects_syntax_and_schema():
         parse_config(json.dumps({"hops": [{"fading": "nakagami"}]}))  # no shape key
     with pytest.raises(ConfigSchemaError):
         parse_config(json.dumps({"extra": 1, "hops": [{"fading": "nakagami", "m": 1}]}))
+    two_hops = [{"fading": "nakagami", "m": 1}, {"fading": "nakagami", "m": 1, "rho": -1.0}]
+    with pytest.raises(ConfigSchemaError):
+        parse_config(json.dumps({"hops": two_hops}))  # rho of a later hop
+    with pytest.raises(ConfigSchemaError):
+        parse_config(json.dumps({"gamma_t": 0.0, "hops": [{"fading": "nakagami", "m": 1}]}))
 
 
 def test_parse_gamma_t_linear_and_db():

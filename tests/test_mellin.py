@@ -284,6 +284,26 @@ def test_build_expansion_ric3_leading_log_length():
     assert len(exp.terms[0].log_coeffs) == 3  # k = 3 -> up to (ln g)^2
 
 
+def test_build_expansion_evaluates_each_ring_once(monkeypatch):
+    # the 120 weak compositions of an 8-hop chain at lambda = 3 meet the same
+    # shifted per-hop rings; a build evaluates each (model, nodes) ring once
+    # and keeps none of them for the next build
+    net = make_network([F.nakagami(m) for m in (2.2, 1.8, 1.6, 2.5, 2.1, 2.9, 1.7, 1.3)])
+    calls = []
+
+    def counted(model, s):
+        calls.append((model, s.tobytes()))
+        return channels.log_moment(model, s)
+
+    monkeypatch.setattr(mellin, "log_moment", counted)
+    first = mellin.build_expansion(net, 3)
+    per_build = len(calls)
+    assert len(set(calls)) == per_build
+    second = mellin.build_expansion(net, 3)
+    assert len(calls) == 2 * per_build
+    assert first.terms == second.terms
+
+
 def test_rightmost_pole_dominance(reference_configs):
     for name, net in reference_configs.items():
         s0, _ = mellin.leading_pole(net)
