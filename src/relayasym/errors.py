@@ -21,16 +21,12 @@ class ModelValidationError(RelayAsymError, ValueError):
     """Unsupported fading family or parameter out of range."""
 
 
-class DimensionMismatchError(RelayAsymError, ValueError):
-    """Input sequences have inconsistent lengths."""
-
-
 class IllConditionedContourError(RelayAsymError, ArithmeticError):
     """Integrand magnitude varies too wildly on a residue-extraction circle."""
 
 
 class QuadratureConvergenceError(RelayAsymError, ArithmeticError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
+    """A quadrature rule could not reach its stated tolerance."""
 
 
 class UnsupportedNetworkError(RelayAsymError, ValueError):

@@ -1,6 +1,6 @@
 """Ground-truth engines: end-to-end SNR sampling, Monte Carlo outage
-estimation with exact binomial confidence intervals, and nested-quadrature
-oracles for small networks.
+estimation with exact binomial confidence intervals, and a fixed-grid
+quadrature oracle for networks of up to three hops.
 
 Randomness comes from counter-based Philox streams keyed by (seed, stream
 index), so results are reproducible and independent of how work is split
@@ -16,15 +16,10 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
-from scipy.special import betaincinv, chndtr, gammaincc
+from scipy.special import betaincinv
 
-from .channels import FadingModel, HOYT, NAKAGAMI, RICIAN, WEIBULL, pdf, sample
-from .errors import (
-    DimensionMismatchError,
-    QuadratureConvergenceError,
-    UnsupportedNetworkError,
-)
+from .channels import FadingModel, HOYT, NAKAGAMI, RICIAN, WEIBULL, cdf, pdf, sample
+from .errors import QuadratureConvergenceError, UnsupportedNetworkError
 from .mellin import NetworkConfig
 
 DEFAULT_BLOCK_SIZE = 1 << 20
@@ -38,12 +33,11 @@ class RandomStream:
 
     Distinct (seed, stream_index) pairs give statistically independent
     Philox streams; rebuilding a stream from the same pair replays the exact
-    sequence.  ``position`` counts top-level draws for bookkeeping.
+    sequence.
     """
 
     seed: int
     stream_index: int = 0
-    position: int = 0
     _generator: np.random.Generator | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -52,9 +46,6 @@ class RandomStream:
             key = np.array([self.seed & _MASK64, self.stream_index & _MASK64], dtype=np.uint64)
             self._generator = np.random.Generator(np.random.Philox(key=key))
         return self._generator
-
-    def _advance(self, n: int) -> None:
-        self.position += int(n)
 
 
 @dataclass(frozen=True)
@@ -78,26 +69,12 @@ def clopper_pearson(n_successes: int, n_trials: int, confidence: float = 0.95):
     return low, high
 
 
-def end_to_end_snr(gains, rhos, gamma_bar: float) -> float:
-    """Instantaneous end-to-end SNR of the fixed-gain chain.
-
-    The denominator sum_n rho_n * prod_{j>n} X_j is accumulated through a
-    single backward pass of suffix products, so no partial product is ever
-    recomputed.
-    """
-    if len(gains) != len(rhos):
-        raise DimensionMismatchError(
-            f"{len(gains)} gains vs {len(rhos)} noise factors"
-        )
-    suffix = 1.0
-    denom = 0.0
-    for x, rho in zip(reversed(list(gains)), reversed(list(rhos))):
-        denom += rho * suffix
-        suffix *= x
-    return suffix / denom * gamma_bar
-
-
 def _snr_block(x: np.ndarray, rhos: np.ndarray, gamma_bar: float) -> np.ndarray:
+    """End-to-end SNR of each row of per-hop gains x (one chain per row).
+
+    The denominator sum_n rho_n * prod_{j>n} X_j is accumulated by one
+    backward pass of suffix products.
+    """
     suffix = np.ones(x.shape[0])
     denom = np.zeros(x.shape[0])
     for j in range(x.shape[1] - 1, -1, -1):
@@ -177,122 +154,75 @@ def estimate_outage(
 
 
 # ---------------------------------------------------------------------------
-# Exact quadrature oracles
+# Exact quadrature oracle
 # ---------------------------------------------------------------------------
 
+#: Log-gain window t = ln x of the oracle's fixed rule, and its panels.
+T_LO, T_HI = -45.0, 6.0
+PANEL_WIDTH = 0.5
+GL_NODES = 16
 
-def _quad(f, a, b, epsabs, epsrel=1e-10):
-    kwargs = dict(epsabs=epsabs, epsrel=epsrel, limit=200, full_output=1)
-    result = integrate.quad(f, a, b, **kwargs)
-    value, abserr = result[0], result[1]
-    if len(result) > 3 and abserr > max(epsabs, epsrel * abs(value)) * 50:
-        raise QuadratureConvergenceError(
-            f"quadrature on ({a:g},{b!r}) reported error {abserr:.2e}: {result[3]}"
-        )
-    return value
+#: Hop-2 rows per block of the N = 3 grid: 64 x 1632 doubles is 0.8 MB, so
+#: the temporaries stay small where the whole 1632^2 grid would be 21 MB.
+ROW_BLOCK = 64
 
-
-def _survival_tail(model: FadingModel, a: float, epsabs: float) -> float:
-    """P(X >= a): closed form where the family has one, else pdf quadrature."""
-    if a <= 0.0:
-        return 1.0
-    # The unified Nakagami/Weibull tail is a regularized upper incomplete
-    # gamma; the Rician gain is a scaled noncentral chi-square.  Evaluating
-    # those directly saves the innermost quadrature level.
-    if model.variant in (NAKAGAMI, WEIBULL):
-        m, omega = model.shape, model.omega
-        # integral_a^inf omega/(theta^m nu) x^(m-1) exp(-(x/theta)^omega) dx
-        # substitute u = (x/theta)^omega: Gamma(m/omega, (a/theta)^omega)/nu'
-        u = (a / model.scale) ** omega
-        return float(gammaincc(m / omega, u))
-    if model.variant == RICIAN:
-        k = model.shape
-        c = model.scale / (2.0 * (k + 1.0))
-        # noncentral chi-square (2 dof, noncentrality 2K) complement; the
-        # 1 - CDF subtraction only costs absolute error, which is what the
-        # level budget is stated in
-        return 1.0 - float(chndtr(a / c, 2.0, 2.0 * k))
-    return _hoyt_survival(model, a)
+#: Largest gain mass the window may leave out, relative to the result.
+ORACLE_RTOL = 1e-6
 
 
-def _hoyt_survival(model: FadingModel, a: float) -> float:
-    """Exact Hoyt tail via the polar decomposition of the two-Gaussian form.
-
-    With X = s1 Z1^2 + s2 Z2^2 and (Z1, Z2) standard normal, switching to
-    polar coordinates gives P(X > a) = mean over phi of exp(-a/(2 v(phi)))
-    with v(phi) = s1 cos^2 + s2 sin^2.  The integrand is smooth and periodic,
-    so the uniform trapezoid rule converges spectrally; nodes are doubled
-    until the value settles, and QuadratureConvergenceError is raised if it
-    has not settled at 16384 nodes.
-    """
-    q2 = model.shape**2
-    s1 = model.scale / (1.0 + q2)
-    s2 = model.scale * q2 / (1.0 + q2)
-    prev = None
-    m = 64
-    while m <= 16384:
-        phi = np.linspace(0.0, 2.0 * math.pi, m, endpoint=False)
-        v = s1 * np.cos(phi) ** 2 + s2 * np.sin(phi) ** 2
-        val = float(np.mean(np.exp(-0.5 * a / v)))
-        if prev is not None and abs(val - prev) <= max(1e-13, 1e-12 * val):
-            return val
-        prev = val
-        m *= 2
-    raise QuadratureConvergenceError(
-        f"Hoyt tail (q={model.shape:g}, a={a:g}) did not settle at 16384 trapezoid nodes"
-    )
+def _quad():
+    """Nodes t and weights of the composite Gauss-Legendre rule on [T_LO, T_HI]."""
+    x, w = np.polynomial.legendre.leggauss(GL_NODES)
+    half = 0.5 * PANEL_WIDTH
+    mid = np.arange(T_LO + half, T_HI, PANEL_WIDTH)[:, None]
+    return (mid + half * x).ravel(), np.tile(half * w, mid.size)
 
 
-def _chain_survival(network: NetworkConfig, xis, j: int, w: float, epsabs: float) -> float:
-    """P(the chain survives hops j..N-1 | current capital w)."""
-    model = network.hops[j].model
-    a = xis[j] / w
-    if j == network.n_hops - 1:
-        return _survival_tail(model, a, epsabs)
-    next_xi = xis[j + 1]
-    scale = model.scale
+def oracle_outage(network: NetworkConfig, gamma_bar: float) -> float:
+    """Exact outage probability for N <= 3 on a fixed log-gain grid.
 
-    def integrand(t: float) -> float:
-        if t <= 0.0:
-            return 0.0
-        density = pdf(model, t + a)
-        if density == 0.0:
-            return 0.0
-        return density * _chain_survival(network, xis, j + 1, w * t, epsabs)
-
-    # The inner survival switches on around w*t ~ next_xi; integrate the
-    # boundary layer separately so the adaptive rule cannot step over it.
-    t_layer = next_xi / w
-    breaks = [t_layer, t_layer + 10.0 * scale]
-    total = 0.0
-    lo = 0.0
-    for b in breaks:
-        total += _quad(integrand, lo, b, epsabs / 3)
-        lo = b
-    total += _quad(integrand, lo, np.inf, epsabs / 3)
-    return total
-
-
-def oracle_outage(network: NetworkConfig, gamma_bar: float, abs_tol: float | None = None) -> float:
-    """Exact outage probability by nested adaptive quadrature, N <= 3.
-
-    Implements the survival recursion: the chain survives when each hop's
-    gain clears a threshold that depends on the running product of earlier
-    hops, translated by the per-hop normalized thresholds.  Each quadrature
-    level carries an absolute budget that downstream levels cannot exceed
-    because densities integrate to at most one.
+    The chain is in outage when X1 <= xi1 + xi2/X2 + xi3/(X2 X3), so hop 1
+    integrates out in closed form and the outage is the outage mass
+    E[F1(xi1 + xi2/X2 + xi3/(X2 X3))], with no 1 - survival step.  Hops 2
+    and 3 are integrated in t = ln x, density x pdf(x), by composite
+    16-point Gauss-Legendre panels on [T_LO, T_HI].  The stated error is the
+    gain mass that window leaves out, P(X < e^T_LO) + P(X > e^T_HI) summed
+    over the integrated hops; QuadratureConvergenceError is raised when it
+    exceeds ORACLE_RTOL of the result.
     """
     n = network.n_hops
     if n > 3:
         raise UnsupportedNetworkError(f"quadrature oracle supports N <= 3, got N={n}")
-    if abs_tol is None:
-        abs_tol = 1e-10 if n <= 2 else 1e-8
     xis = network.xi(gamma_bar)
+    first = network.hops[0].model
     if n == 1:
-        # Integrate the small outage mass directly instead of 1 - survival.
-        model = network.hops[0].model
-        return _quad(lambda x: pdf(model, x), 0.0, xis[0], abs_tol, epsrel=1e-12)
-    return 1.0 - _chain_survival(network, xis, 0, 1.0, abs_tol / (2 * n))
+        return float(cdf(first, xis[0]))
+    t, w = _quad()
+    x = np.exp(t)
+    inv = np.exp(-t)
+    later = [hop.model for hop in network.hops[1:]]
+    weights = [w * x * pdf(model, x) for model in later]
+    u2 = xis[0] + xis[1] * inv
+    if n == 2:
+        value = float(weights[0] @ cdf(first, u2))
+    else:
+        value = 0.0
+        for lo in range(0, t.size, ROW_BLOCK):
+            rows = slice(lo, lo + ROW_BLOCK)
+            u = u2[rows, None] + xis[2] * np.outer(inv[rows], inv)
+            value += float(weights[0][rows] @ cdf(first, u) @ weights[1])
+    # The upper tail is 1 - F only to ~1e-16 absolute, far below any bound
+    # it meets while the outage exceeds 1e-10.
+    omitted = sum(
+        float(cdf(model, math.exp(T_LO))) + (1.0 - float(cdf(model, math.exp(T_HI))))
+        for model in later
+    )
+    if omitted > ORACLE_RTOL * value:
+        raise QuadratureConvergenceError(
+            f"log-gain window [{T_LO:g}, {T_HI:g}] leaves out gain mass {omitted:.2e}, "
+            f"above {ORACLE_RTOL:g} of the outage {value:.3e}"
+        )
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +266,7 @@ def two_hop_rayleigh_outage(network: NetworkConfig, gamma_bar: float) -> float:
     """Closed-form outage for a two-hop chain of exponential gains.
 
     p_o = 1 - exp(-xi1/theta1) * z * K1(z) with z = 2 sqrt(xi2/(theta1 theta2)).
-    Serves as the independent cross-check of the nested quadrature oracle.
+    Serves as the independent cross-check of the quadrature oracle.
     """
     if network.n_hops != 2:
         raise UnsupportedNetworkError("closed form is for two hops")
