@@ -80,10 +80,6 @@ def db_to_linear(db: float) -> float:
     return 10.0 ** (db / 10.0)
 
 
-def linear_to_db(x: float) -> float:
-    return 10.0 * math.log10(x)
-
-
 def _db_grid(lo: float, hi: float, step: float) -> list[float]:
     if not (hi > lo and step > 0):
         raise ValueError("need lo < hi and step > 0")

@@ -31,7 +31,8 @@ SUPPORTED_FAMILIES = (NAKAGAMI, WEIBULL, RICIAN, HOYT)
 #: Two pole locations closer than this are treated as coincident.
 POLE_MERGE_TOL = 1e-9
 
-#: Hoyt axial ratios below this push the 2F1 argument too close to 1.
+#: Hoyt axial ratios below this would need more than 10,000 polar nodes
+#: (see specfun.polar_nodes) per moment or distribution-function call.
 HOYT_Q_MIN = 1e-3
 
 
@@ -123,7 +124,7 @@ def validate_model(model: FadingModel) -> None:
             raise ModelValidationError(f"hoyt q={shape} out of range (0 < q <= 1)")
         if shape < HOYT_Q_MIN:
             raise ModelValidationError(
-                f"hoyt q={shape} below {HOYT_Q_MIN}: 2F1 argument too close to 1"
+                f"hoyt q={shape} below {HOYT_Q_MIN}: too many polar quadrature nodes"
             )
 
 
@@ -182,10 +183,8 @@ def cdf(model: FadingModel, x):
     Each family's form stays accurate in relative terms as x -> 0, with no
     1 - survival step.  The Hoyt gain is s1 Z1^2 + s2 Z2^2 for independent
     standard normals; in polar coordinates its CDF is the mean over phi of
-    1 - exp(-x/(2 v(phi))), v(phi) = s1 cos^2 phi + s2 sin^2 phi.  That
-    integrand is periodic and analytic in a strip of half-width
-    ln((1+q)/(1-q))/2, so the midpoint rule on a quarter period converges
-    geometrically; m = 10/atanh(q) nodes keep the error near e^-40.
+    1 - exp(-x/(2 v(phi))), v(phi) = s1 cos^2 phi + s2 sin^2 phi, taken by
+    the midpoint rule on :func:`specfun.polar_nodes`, as the Hoyt moment is.
     """
     x = np.asarray(x, dtype=float)
     shape, theta = model.shape, model.scale
@@ -197,14 +196,12 @@ def cdf(model: FadingModel, x):
         # noncentral chi-square with 2 degrees of freedom and noncentrality 2K
         k = shape
         return chndtr(x * (2.0 * (k + 1.0) / theta), 2.0, 2.0 * k)
-    q = shape
-    m = 1 if q == 1.0 else max(1, math.ceil(10.0 / math.atanh(q)))
-    phi = (np.arange(m) + 0.5) * (0.5 * math.pi / m)
-    v = theta * (np.cos(phi) ** 2 + q * q * np.sin(phi) ** 2) / (1.0 + q * q)
+    q2 = shape * shape
+    v = theta * specfun.polar_nodes(q2) / (1.0 + q2)
     total = np.zeros_like(x)
     for vj in v:
         total -= np.expm1(x * (-0.5 / vj))
-    return (total / m)[()]
+    return (total / len(v))[()]
 
 
 def log_moment(model: FadingModel, s):
@@ -234,14 +231,13 @@ def log_moment(model: FadingModel, s):
             + specfun.log_gamma(s + 1.0)
             + np.log(specfun.kummer_1f1(s + 1.0, 1.0, k))
         )
-    q = shape
-    q2 = q * q
-    z = ((1.0 - q2) / (1.0 + q2)) ** 2
+    # X = R^2 v(phi) with R^2 ~ Exp(mean 2) and phi uniform (see cdf), so
+    # E[X^s] = (2 theta/(1+q^2))^s Gamma(1+s) mean_phi (cos^2 + q^2 sin^2)^s
+    q2 = shape * shape
     return (
-        (2.0 * s + 1.0) * math.log(2.0 * q / (1.0 + q2))
-        + s * math.log(theta)
+        s * math.log(2.0 * theta / (1.0 + q2))
         + specfun.log_gamma(s + 1.0)
-        + np.log(specfun.gauss_2f1((s + 1.0) / 2.0, (s + 2.0) / 2.0, 1.0, z))
+        + np.log(specfun.gauss_2f1(-s, q2))
     )
 
 

@@ -118,6 +118,9 @@ def parse_config(text: str, command: str = "poles", **options) -> RunConfig:
         raise _schema_error(f"unknown top-level keys {sorted(unknown)}")
     if "gamma_t_db" in doc and "gamma_t" in doc:
         raise _schema_error("give gamma_t_db or gamma_t, not both")
+    for key in ("gamma_t", "gamma_t_db"):
+        if key in doc and not isinstance(doc[key], (int, float)):
+            raise _schema_error(f"{key} must be a number")
     if "gamma_t" in doc:
         gamma_t = float(doc["gamma_t"])
     else:
@@ -167,29 +170,6 @@ def emit_csv(rows, path: str | None):
     else:
         with open(path, "w", encoding="ascii") as fh:
             fh.write(text)
-
-
-def parse_csv(text: str) -> list[analysis.SweepRow]:
-    """Re-parse an emitted CSV back into SweepRows (round-trip helper)."""
-    lines = [ln for ln in text.splitlines() if ln]
-    if not lines or lines[0] != CSV_HEADER:
-        raise ValueError("unrecognized CSV header")
-    rows = []
-    for ln in lines[1:]:
-        cells = ln.split(",")
-        opt = lambda c: None if c == "" else float(c)
-        rows.append(
-            analysis.SweepRow(
-                gamma_bar_db=float(cells[0]),
-                p_asym=float(cells[1]),
-                p_mc=opt(cells[2]),
-                ci_low=opt(cells[3]),
-                ci_high=opt(cells[4]),
-                p_oracle=opt(cells[5]),
-                d_finite=float(cells[6]),
-            )
-        )
-    return rows
 
 
 def _require_db_range(cfg: RunConfig) -> tuple[float, float, float]:

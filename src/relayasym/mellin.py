@@ -145,11 +145,6 @@ def composition_term(network: NetworkConfig, ell: tuple[int, ...]) -> Compositio
     return CompositionTerm(tuple(ell), lam, tuple(partial), coeff)
 
 
-def product_moment(network: NetworkConfig, s):
-    """G(s): the product of per-hop moments, accumulated in log space (s scalar or array)."""
-    return np.exp(sum(log_moment(hop.model, s) for hop in network.hops))
-
-
 def _gamma_ratio_prefactor(lambda_total: int):
     """gamma(s+lambda)/gamma(s+1) reduced analytically for integer lambda >= 0.
 
@@ -340,14 +335,6 @@ def _context_distance(location: float, others) -> float:
     return dist
 
 
-def origin_residue(network: NetworkConfig) -> float:
-    """Numeric residue of the lambda_N = 0 integrand at s = 0 (must be 1)."""
-    s0_right = _rightmost_network_pole(network)
-    f = _term_integrand(network, (0,) * network.n_hops, 0, {})
-    context = abs(s0_right)
-    return residue_at(f, PoleSpec(0.0 + 0.0j, 1), context)[0]
-
-
 def leading_pole(network: NetworkConfig) -> tuple[float, int]:
     """Location and merged order of the rightmost non-origin pole of G(s).
 
@@ -475,22 +462,11 @@ def build_expansion(
     return expansion
 
 
-def evaluate_expansion(
-    expansion: AsymptoticExpansion, gamma_bar: float, with_flag: bool = False
-):
-    """Evaluate the expansion at gamma_bar > 1, clamped to [0, 1].
-
-    Returns the probability, or (probability, clamped) when ``with_flag`` is
-    set.
-    """
+def evaluate_expansion(expansion: AsymptoticExpansion, gamma_bar: float) -> float:
+    """Evaluate the expansion at gamma_bar > 1, clamped to [0, 1]."""
     if gamma_bar <= 1.0:
         raise ValueError(f"gamma_bar must exceed 1 (ln gamma_bar > 0), got {gamma_bar}")
     total = 0.0
     for term in expansion.terms:
         total += term.evaluate(gamma_bar)
-    clamped = False
-    if total < 0.0:
-        total, clamped = 0.0, True
-    elif total > 1.0:
-        total, clamped = 1.0, True
-    return (total, clamped) if with_flag else total
+    return min(max(total, 0.0), 1.0)

@@ -1,13 +1,16 @@
 """Complex-argument special functions for the moment formulas.
 
 Only the functions the channel moment formulas actually need are provided:
-log-gamma on the complex plane, the confluent and Gauss hypergeometric
-functions (analytic in their numerator parameters), and ln I0 for the
-Rician/Hoyt densities.  All of them act elementwise on arrays, so a whole
-residue contour is one call.
+log-gamma on the complex plane, the confluent hypergeometric function 1F1 by
+its Taylor series, the Gauss function 2F1(a, 1/2; 1; 1-p) by a polar midpoint
+rule whose nodes the Hoyt distribution function shares, and ln I0 for the
+Rician/Hoyt densities.  The first three act elementwise on arrays of their
+first argument, so a whole residue contour is one call.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy.special import i0e, loggamma
@@ -42,24 +45,16 @@ def log_gamma(z):
     return loggamma(z)
 
 
-def _check_denominator(fn: str, name: str, c: float) -> None:
-    if c <= 0 and abs(c - round(c)) <= GAMMA_POLE_TOL:
-        raise PoleAtArgumentError(f"{fn} undefined for {name}={c} (non-positive integer)")
-
-
-def _series(numerators, c: float, z: float):
-    """sum_k prod_i (a_i)_k / (c)_k z^k / k!, elementwise over the a_i arrays.
+def _series(a, c: float, z: float):
+    """sum_k (a)_k / (c)_k z^k / k!, elementwise over the array a.
 
     Stops once every element's last term is below 1e-16 of its running sum.
     """
-    numerators = [np.asarray(a, dtype=complex) for a in numerators]
-    term = np.ones(np.broadcast(*numerators).shape, dtype=complex)
+    a = np.asarray(a, dtype=complex)
+    term = np.ones(a.shape, dtype=complex)
     total = term.copy()
     for k in range(_MAX_SERIES_TERMS):
-        num = numerators[0] + k
-        for a in numerators[1:]:
-            num = num * (a + k)
-        term = term * (num * z / ((c + k) * (k + 1)))
+        term = term * ((a + k) * z / ((c + k) * (k + 1)))
         total += term
         if k > 2 and np.all(np.abs(term) <= 1e-16 * np.abs(total)):
             return total[()]
@@ -79,31 +74,44 @@ def kummer_1f1(a, b: float, z: float, z_bound: float = KUMMER_Z_BOUND):
         raise ArgumentRangeError(
             f"1F1 argument |z|={abs(z):g} exceeds supported bound {z_bound:g}"
         )
-    _check_denominator("1F1", "b", b)
+    if b <= 0 and abs(b - round(b)) <= GAMMA_POLE_TOL:
+        raise PoleAtArgumentError(f"1F1 undefined for b={b} (non-positive integer)")
     if z < 0:
-        return np.exp(z) * _series([b - a], b, -z)
-    return _series([a], b, z)
+        return np.exp(z) * _series(b - a, b, -z)
+    return _series(a, b, z)
 
 
-def gauss_2f1(a, b, c: float, z: float):
-    """Gauss hypergeometric function 2F1(a, b; c; z) on 0 <= z < 1, elementwise in a, b.
+def polar_nodes(p: float) -> np.ndarray:
+    """cos^2 phi + p sin^2 phi at the m midpoints of [0, pi/2], 0 < p <= 1.
 
-    Gauss series for z <= 0.75.  Closer to the convergence boundary the Euler
-    transformation 2F1(a,b;c;z) = (1-z)^(c-a-b) 2F1(c-a, c-b; c; z) is used,
-    where the transformed series converges for the parameter combinations the
-    Hoyt moments produce as q -> 0.
+    The mean over these nodes of a function g(cos^2 phi + p sin^2 phi) is the
+    midpoint rule for its mean over a period.  With p = q^2 the node function
+    vanishes at imaginary distance atanh q from the real phi axis, so the rule
+    converges geometrically (Trefethen & Weideman, SIAM Rev. 56, 2014);
+    m = ceil(10/atanh q) nodes keep the error near e^-40 (m = 10,000 at
+    q = 1e-3).  The sum is formed directly: near phi = pi/2, where the node
+    value falls to p, 1 - (1-p) sin^2 phi would lose about six digits at
+    that q.
     """
-    c = float(c)
-    z = float(z)
-    if z < 0.0:
-        raise ArgumentRangeError(f"2F1 argument z={z:g} below supported range")
-    if z >= 1.0:
-        raise SeriesDivergenceError(f"2F1 series diverges at z={z:g} >= 1")
-    _check_denominator("2F1", "c", c)
-    if z > 0.75:
-        pref = np.exp((c - a - b) * np.log1p(-z))
-        return pref * _series([c - a, c - b], c, z)
-    return _series([a, b], c, z)
+    p = float(p)
+    if not 0.0 < p <= 1.0:
+        raise ArgumentRangeError(f"polar node parameter p={p:g} outside (0, 1]")
+    q = math.sqrt(p)
+    m = math.ceil(10.0 / math.atanh(q)) if q < 1.0 else 1
+    phi = (np.arange(m) + 0.5) * (0.5 * math.pi / m)
+    return np.cos(phi) ** 2 + p * np.sin(phi) ** 2
+
+
+def gauss_2f1(a, p: float):
+    """2F1(a, 1/2; 1; 1 - p) for 0 < p <= 1, elementwise in complex a.
+
+    Legendre's form: the mean over phi of (cos^2 phi + p sin^2 phi)^-a,
+    taken by the midpoint rule on :func:`polar_nodes`.  The argument is given
+    as its complement p, which keeps it exact as 1 - p -> 1.
+    """
+    log_v = np.log(polar_nodes(p))
+    a = np.asarray(a, dtype=complex)
+    return np.exp(np.multiply.outer(-a, log_v)).mean(axis=-1)[()]
 
 
 def log_bessel_i0(x):

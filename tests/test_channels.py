@@ -48,7 +48,7 @@ def test_validate_accepts_supported_grid():
         F.rician(-0.5),
         F.hoyt(1.2),
         F.hoyt(0.0),
-        F.hoyt(5e-4),  # below the 2F1 stability floor
+        F.hoyt(5e-4),  # below the floor that bounds the polar node count
         F.nakagami(1.0, theta=0.0),
         F.nakagami(1.0, theta=-2.0),
         F.nakagami(math.inf),
@@ -204,6 +204,33 @@ def test_log_moment_array_matches_scalar_calls():
             ring[5] = pole.location + 0.5 * channels.POLE_MERGE_TOL
             with pytest.raises(PoleAtArgumentError):
                 channels.log_moment(model, ring)
+
+
+def _mp_hoyt_moment(q, theta, s):
+    """E[X^s] of the Hoyt gain by the Gauss 2F1 form with argument ((1-q^2)/(1+q^2))^2."""
+    q, theta, s = mpmath.mpf(q), mpmath.mpf(theta), mpmath.mpc(s.real, s.imag)
+    q2 = q * q
+    z = ((1 - q2) / (1 + q2)) ** 2
+    return (
+        (2 * q / (1 + q2)) ** (2 * s + 1)
+        * theta**s
+        * mpmath.gamma(s + 1)
+        * mpmath.hyp2f1((s + 1) / 2, (s + 2) / 2, 1, z)
+    )
+
+
+def test_hoyt_log_moment_against_mpmath_down_to_q_floor():
+    # every q that validation accepts evaluates, one call per ring, down to
+    # the floor, where the polar rule needs its most nodes
+    phi = 2.0 * math.pi * np.arange(32) / 32
+    for q, theta in ((0.75, 1.0), (0.05, 2.0), (0.015, 1.0), (0.01, 0.5), (channels.HOYT_Q_MIN, 1.0)):
+        model = F.hoyt(q, theta)
+        for center in (-3.5, -2.5, -1.5, -0.5, 0.5, 2.0):
+            ring = center + 0.3 * np.exp(1j * phi)
+            got = np.exp(channels.log_moment(model, ring))
+            with mpmath.workdps(30):
+                want = np.array([complex(_mp_hoyt_moment(q, theta, s)) for s in ring])
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0, err_msg=f"q={q}, center={center}")
 
 
 # ---------------------------------------------------------------------------

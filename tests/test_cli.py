@@ -15,7 +15,6 @@ from relayasym.cli import (
     ConfigSyntaxError,
     emit_csv,
     parse_config,
-    parse_csv,
 )
 from relayasym.errors import ModelValidationError
 
@@ -90,6 +89,10 @@ def test_parse_rejects_syntax_and_schema():
         parse_config(json.dumps({"hops": two_hops}))  # rho of a later hop
     with pytest.raises(ConfigSchemaError):
         parse_config(json.dumps({"gamma_t": 0.0, "hops": [{"fading": "nakagami", "m": 1}]}))
+    with pytest.raises(ConfigSchemaError):
+        parse_config(json.dumps({"gamma_t": "abc", "hops": [{"fading": "nakagami", "m": 1}]}))
+    with pytest.raises(ConfigSchemaError):
+        parse_config(json.dumps({"gamma_t_db": [1], "hops": [{"fading": "nakagami", "m": 1}]}))
 
 
 def test_parse_gamma_t_linear_and_db():
@@ -102,6 +105,28 @@ def test_parse_gamma_t_linear_and_db():
 # ---------------------------------------------------------------------------
 # CSV emission
 # ---------------------------------------------------------------------------
+
+
+def parse_csv(text: str) -> list[SweepRow]:
+    """Re-parse an emitted CSV back into SweepRows."""
+    lines = [ln for ln in text.splitlines() if ln]
+    assert lines and lines[0] == cli.CSV_HEADER
+    opt = lambda c: None if c == "" else float(c)
+    rows = []
+    for ln in lines[1:]:
+        cells = ln.split(",")
+        rows.append(
+            SweepRow(
+                gamma_bar_db=float(cells[0]),
+                p_asym=float(cells[1]),
+                p_mc=opt(cells[2]),
+                ci_low=opt(cells[3]),
+                ci_high=opt(cells[4]),
+                p_oracle=opt(cells[5]),
+                d_finite=float(cells[6]),
+            )
+        )
+    return rows
 
 
 def _row(db=30.0, p=9.516258196e-2):
@@ -169,6 +194,18 @@ def test_asymptote_command_one_hop(tmp_path, capsys):
     assert table[-1.0] == pytest.approx(1.0, rel=1e-9)
     assert table[-2.0] == pytest.approx(-0.5, rel=1e-9)
     assert table[-3.0] == pytest.approx(1.0 / 6.0, rel=1e-9)
+
+
+def test_asymptote_command_small_hoyt_q(tmp_path, capsys):
+    # the outage of one hop starts as pdf(0) gamma_t / gamma_bar, with
+    # pdf(0) = (1 + q^2) / (2 q) for Hoyt
+    q = 0.01
+    doc = {"gamma_t_db": 0.0, "hops": [{"fading": "hoyt", "q": q}]}
+    cfg = _write(tmp_path, "hoyt1.json", json.dumps(doc))
+    assert cli.main(["asymptote", "--config", cfg]) == EXIT_OK
+    lines = [ln for ln in capsys.readouterr().out.splitlines() if ln and not ln.startswith("#")]
+    table = {float(ln.split()[0]): float(ln.split()[1]) for ln in lines[1:]}
+    assert table[-1.0] == pytest.approx((1.0 + q * q) / (2.0 * q), rel=1e-9)
 
 
 def test_simulate_command(tmp_path, capsys):

@@ -1,15 +1,12 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from relayasym import specfun as sf
-from relayasym.errors import (
-    ArgumentRangeError,
-    PoleAtArgumentError,
-    SeriesDivergenceError,
-)
+from relayasym.errors import ArgumentRangeError, PoleAtArgumentError
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -180,48 +177,51 @@ def test_kummer_range_error():
 # ---------------------------------------------------------------------------
 
 
-def _gauss_series_oracle(a, b, c, z, terms=200):
-    total = complex(1.0)
-    term = complex(1.0)
-    for k in range(terms):
-        term *= (a + k) * (b + k) * z / ((c + k) * (k + 1.0))
-        total += term
-    return total
+def _mp_2f1(a, p):
+    """2F1(a, 1/2; 1; 1 - p) by mpmath's own series and transformations, 30 digits."""
+    with mpmath.workdps(30):
+        return complex(mpmath.hyp2f1(mpmath.mpc(a.real, a.imag), 0.5, 1, 1 - mpmath.mpf(p)))
 
 
 def test_gauss_2f1_trivial_values():
-    assert sf.gauss_2f1(2.0, 3.0, 1.0, 0.0) == pytest.approx(1.0, rel=1e-14)
-    # 2F1(1,b;1;z) = (1-z)^-b; z = 0.36 is the Hoyt q = 1/2 argument
-    assert sf.gauss_2f1(1.0, 1.5, 1.0, 0.36).real == pytest.approx(0.64**-1.5, rel=1e-12)
-    assert sf.gauss_2f1(0.5, 1.0, 1.0, 0.5).real == pytest.approx(math.sqrt(2.0), rel=1e-12)
+    # 2F1(0, 1/2; 1; z) = 1 for any z, and every 2F1(a, 1/2; 1; 0) = 1
+    assert sf.gauss_2f1(0.0, 1e-3) == pytest.approx(1.0, rel=1e-14)
+    assert sf.gauss_2f1(2.7 - 0.4j, 1.0) == pytest.approx(1.0, rel=1e-14)
+    for p in (0.64, 0.1, 1e-4):
+        # 2F1(1, 1/2; 1; 1-p) = p^-1/2, and a = -1, -2 end the series: 1 - z/2, 1 - z + 3z^2/8
+        assert sf.gauss_2f1(1.0, p).real == pytest.approx(p**-0.5, rel=1e-12)
+        z = 1.0 - p
+        assert sf.gauss_2f1(-1.0, p).real == pytest.approx(1.0 - z / 2.0, rel=1e-12)
+        assert sf.gauss_2f1(-2.0, p).real == pytest.approx(1.0 - z + 3.0 * z * z / 8.0, rel=1e-12)
 
 
-def test_gauss_2f1_against_series():
-    pairs = ((0.5, 1.0), (1.3 + 0.4j, -0.7), (2.0 + 1j, 0.5 - 2j))
-    for a, b in pairs:
-        for z in (0.1, 0.3, 0.5):
-            got = sf.gauss_2f1(a, b, 1.0, z)
-            want = _gauss_series_oracle(a, b, 1.0, z)
-            assert abs(got - want) <= 1e-10 * abs(want)
-    # one array call agrees with the scalar calls, Euler branch (z > 0.75) included
-    a, b = np.array(pairs).T
-    for z in (0.3, 0.9):
-        want = [sf.gauss_2f1(ai, bi, 1.0, z) for ai, bi in pairs]
-        np.testing.assert_allclose(sf.gauss_2f1(a, b, 1.0, z), want, rtol=1e-14)
+def test_gauss_2f1_against_mpmath():
+    # complex a on residue-style rings; -a is the Hoyt moment order s
+    phi = 2.0 * math.pi * np.arange(16) / 16
+    for p in (1.0, 0.5625, 0.25, 0.1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
+        for center in (-2.0, -1.0, 0.0, 0.5, 1.5, 2.5, 3.5):
+            a = center + 0.3 * np.exp(1j * phi)
+            got = sf.gauss_2f1(a, p)
+            want = np.array([_mp_2f1(x, p) for x in a])
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0, err_msg=f"p={p}")
 
 
-def test_gauss_2f1_euler_branch():
-    # binomial identity holds through the Euler-transformed branch (z > 0.75)
-    for z in (0.8, 0.9, 0.97):
-        got = sf.gauss_2f1(1.0, 1.5, 1.0, z)
-        assert got.real == pytest.approx((1.0 - z) ** -1.5, rel=1e-10)
+def test_gauss_2f1_array_matches_scalar_calls():
+    a = np.array([0.5, 1.3 + 0.4j, -0.7 - 2j, 2.0 + 1j])
+    for p in (1.0, 0.25, 1e-6):
+        got = sf.gauss_2f1(a, p)
+        assert got.shape == a.shape
+        want = [sf.gauss_2f1(x, p) for x in a]
+        assert all(isinstance(v, complex) for v in want)
+        np.testing.assert_allclose(got, want, rtol=1e-15)
+    grid = sf.gauss_2f1(a.reshape(2, 2), 0.1)
+    np.testing.assert_allclose(grid, sf.gauss_2f1(a, 0.1).reshape(2, 2), rtol=1e-15)
 
 
 def test_gauss_2f1_range_errors():
-    with pytest.raises(SeriesDivergenceError):
-        sf.gauss_2f1(0.5, 1.0, 1.0, 1.0)
-    with pytest.raises(ArgumentRangeError):
-        sf.gauss_2f1(0.5, 1.0, 1.0, -0.1)
+    for p in (0.0, -0.1, 1.0 + 1e-12, 2.0, math.nan):
+        with pytest.raises(ArgumentRangeError):
+            sf.gauss_2f1(0.5, p)
 
 
 # ---------------------------------------------------------------------------
