@@ -99,7 +99,6 @@ def sweep_compare(
     lambda_max: int = mellin.DEFAULT_LAMBDA_MAX,
     re_min: float | None = None,
     seed: int = 42,
-    n_workers: int | None = None,
 ) -> list[SweepRow]:
     """Evaluate asymptote (always), Monte Carlo and oracle (optional) on a dB grid.
 
@@ -120,14 +119,7 @@ def sweep_compare(
         d_fin = finite_diversity(s0, k, gamma_bar)
         p_mc = ci_low = ci_high = p_oracle = None
         if n_samples:
-            est = montecarlo.estimate_outage(
-                network,
-                gamma_bar,
-                n_samples,
-                seed=seed,
-                stream_base=i << 32,
-                n_workers=n_workers,
-            )
+            est = montecarlo.estimate_outage(network, gamma_bar, n_samples, seed=seed, stream_base=i << 32)
             p_mc, ci_low, ci_high = est.p_hat, est.ci_low, est.ci_high
         if oracle:
             p_oracle = montecarlo.oracle_outage(network, gamma_bar)

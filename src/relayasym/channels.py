@@ -268,29 +268,62 @@ def mellin_poles(model: FadingModel, re_min: float) -> list[PoleSpec]:
     return out
 
 
-def sample(model: FadingModel, rng, size: int | None = None):
+#: Draws per piece of the second Gaussian of the Rician and Hoyt samplers,
+#: so their temporaries stay at 128 kB whatever the size of ``out``.
+SAMPLE_PIECE = 1 << 14
+
+
+def sample(model: FadingModel, rng, size: int | None = None, out: np.ndarray | None = None):
     """Draw channel gains with density pdf(model, .).
 
     ``rng`` is either a numpy Generator or a montecarlo.RandomStream.
-    Scalar draw when size is None, ndarray otherwise.
+    Scalar draw when size and out are None, ndarray otherwise.  ``out``, a
+    C-contiguous float64 array of ``size`` elements, receives the gains and
+    is returned.  Each family computes in place with the draws, order and
+    rounding of theta G, theta (-ln(1-U))^(1/m), c ((Z1 + sqrt(2K))^2 + Z2^2)
+    and s1 Z1 Z1 + s2 Z2 Z2, so a stream gives the same gains with or
+    without ``out``, and consecutive calls continue it.
     """
     gen = getattr(rng, "generator", rng)
     shape, theta = model.shape, model.scale
+    x = out if out is not None else np.empty(1 if size is None else size)
     if model.variant == NAKAGAMI:
-        x = gen.gamma(shape, scale=theta, size=size)
+        gen.standard_gamma(shape, out=x)
+        x *= theta
     elif model.variant == WEIBULL:
-        u = gen.random(size=size)
-        x = theta * (-np.log1p(-u)) ** (1.0 / shape)
-    elif model.variant == RICIAN:
-        k = shape
-        z1 = gen.standard_normal(size=size) + math.sqrt(2.0 * k)
-        z2 = gen.standard_normal(size=size)
-        x = theta / (2.0 * (k + 1.0)) * (z1 * z1 + z2 * z2)
-    else:  # hoyt
-        q2 = model.shape ** 2
-        s1 = theta / (1.0 + q2)
-        s2 = theta * q2 / (1.0 + q2)
-        z1 = gen.standard_normal(size=size)
-        z2 = gen.standard_normal(size=size)
-        x = s1 * z1 * z1 + s2 * z2 * z2
+        gen.random(out=x)
+        np.negative(x, out=x)
+        np.log1p(x, out=x)
+        np.negative(x, out=x)
+        x **= 1.0 / shape
+        x *= theta
+    else:
+        # Z1 fills x first; Z2 follows in pieces, each added to its slice.
+        gen.standard_normal(out=x)
+        flat = x.reshape(-1)
+        z2 = np.empty(min(SAMPLE_PIECE, flat.size))
+        if model.variant == RICIAN:
+            x += math.sqrt(2.0 * shape)
+            x *= x
+            for lo in range(0, flat.size, SAMPLE_PIECE):
+                part = flat[lo:lo + SAMPLE_PIECE]
+                z = gen.standard_normal(out=z2[:part.size])
+                z *= z
+                part += z
+            x *= theta / (2.0 * (shape + 1.0))
+        else:  # hoyt: (s Z) Z per term, as s * Z * Z evaluates
+            q2 = shape ** 2
+            s1 = theta / (1.0 + q2)
+            s2 = theta * q2 / (1.0 + q2)
+            scaled = np.empty_like(z2)
+            for lo in range(0, flat.size, SAMPLE_PIECE):
+                part = flat[lo:lo + SAMPLE_PIECE]
+                t = np.multiply(part, s1, out=scaled[:part.size])
+                part *= t
+                z = gen.standard_normal(out=z2[:part.size])
+                np.multiply(z, s2, out=t)
+                z *= t
+                part += z
+    if out is None and size is None:
+        return float(x[0])
     return x

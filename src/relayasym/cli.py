@@ -76,6 +76,16 @@ def _schema_error(msg: str) -> ConfigSchemaError:
     return ConfigSchemaError(f"config schema violation: {msg}")
 
 
+def _number(value, where: str) -> float:
+    """A JSON number as a float; ConfigSchemaError if it is none or overflows."""
+    if not isinstance(value, (int, float)):
+        raise _schema_error(f"{where} must be a number")
+    try:
+        return float(value)
+    except OverflowError:
+        raise _schema_error(f"{where} is too large for a float") from None
+
+
 def _parse_hop(entry, index: int) -> HopConfig:
     if not isinstance(entry, dict):
         raise _schema_error(f"hops[{index}] must be an object")
@@ -89,15 +99,11 @@ def _parse_hop(entry, index: int) -> HopConfig:
         raise _schema_error(
             f"hops[{index}] needs exactly one shape key of {_SHAPE_KEYS}, got {shapes}"
         )
-    for key in ("theta", "rho", shapes[0]):
-        if key in entry and not isinstance(entry[key], (int, float)):
-            raise _schema_error(f"hops[{index}].{key} must be a number")
-    model = FadingModel(
-        variant=entry["fading"].lower(),
-        shape=float(entry[shapes[0]]),
-        scale=float(entry.get("theta", 1.0)),
+    shape, theta, rho = (
+        _number(entry.get(key, 1.0), f"hops[{index}].{key}") for key in (shapes[0], "theta", "rho")
     )
-    return HopConfig(model=model, rho=float(entry.get("rho", 1.0)))
+    model = FadingModel(variant=entry["fading"].lower(), shape=shape, scale=theta)
+    return HopConfig(model=model, rho=rho)
 
 
 def parse_config(text: str, command: str = "poles", **options) -> RunConfig:
@@ -118,13 +124,14 @@ def parse_config(text: str, command: str = "poles", **options) -> RunConfig:
         raise _schema_error(f"unknown top-level keys {sorted(unknown)}")
     if "gamma_t_db" in doc and "gamma_t" in doc:
         raise _schema_error("give gamma_t_db or gamma_t, not both")
-    for key in ("gamma_t", "gamma_t_db"):
-        if key in doc and not isinstance(doc[key], (int, float)):
-            raise _schema_error(f"{key} must be a number")
     if "gamma_t" in doc:
-        gamma_t = float(doc["gamma_t"])
+        gamma_t = _number(doc["gamma_t"], "gamma_t")
     else:
-        gamma_t = 10.0 ** (float(doc.get("gamma_t_db", 0.0)) / 10.0)
+        gamma_t_db = _number(doc.get("gamma_t_db", 0.0), "gamma_t_db")
+        try:
+            gamma_t = 10.0 ** (gamma_t_db / 10.0)
+        except OverflowError:
+            raise _schema_error(f"gamma_t_db = {gamma_t_db:g} overflows gamma_t") from None
     hops_doc = doc.get("hops")
     if not isinstance(hops_doc, list) or not hops_doc:
         raise _schema_error("'hops' must be a non-empty list")

@@ -5,7 +5,11 @@ quadrature oracle for networks of up to three hops.
 Randomness comes from counter-based Philox streams keyed by (seed, stream
 index), so results are reproducible and independent of how work is split
 across workers: the estimate for a given (seed, n_samples, block_size) is
-bit-identical whether it runs on one thread or eight.
+bit-identical whether it runs on one thread or eight.  By default the
+estimator runs one worker thread per available core (at most one per
+block), capped by the RELAY_ASYM_THREADS environment variable.  Each block
+of chains is folded forward hop by hop as its gains are drawn, so a worker
+holds three block-sized buffers, which it reuses for all of its blocks.
 """
 
 from __future__ import annotations
@@ -69,30 +73,30 @@ def clopper_pearson(n_successes: int, n_trials: int, confidence: float = 0.95):
     return low, high
 
 
-def _snr_block(x: np.ndarray, rhos: np.ndarray, gamma_bar: float) -> np.ndarray:
-    """End-to-end SNR of each row of per-hop gains x (one chain per row).
+def _count_block_outages(network: NetworkConfig, gamma_bar: float, seed: int,
+                         stream_index: int, size: int, buffers: np.ndarray) -> int:
+    """Outages among one block of ``size`` chains, drawn from substream (seed, stream_index).
 
-    The denominator sum_n rho_n * prod_{j>n} X_j is accumulated by one
-    backward pass of suffix products.
+    The end-to-end SNR is gamma_bar / sum_n rho_n / prod_{j<=n} X_j, so the
+    chain folds forward hop by hop as each hop's gains are drawn, in three
+    block buffers: the running gain product, the running sum and the
+    current hop's gains, the rows of ``buffers``, an array of shape
+    (3, >= size) that a worker reuses for all of its blocks.
     """
-    suffix = np.ones(x.shape[0])
-    denom = np.zeros(x.shape[0])
-    for j in range(x.shape[1] - 1, -1, -1):
-        denom += rhos[j] * suffix
-        suffix = suffix * x[:, j]
-    return suffix / denom * gamma_bar
-
-
-def _count_block_outages(network: NetworkConfig, gamma_bar: float,
-                         seed: int, stream_index: int, size: int) -> int:
+    prefix, inv, x = buffers[:, :size]
     stream = RandomStream(seed, stream_index)
-    x = np.empty((size, network.n_hops))
-    for j, hop in enumerate(network.hops):
-        x[:, j] = sample(hop.model, stream, size=size)
-    rhos = np.array([h.rho for h in network.hops])
-    snr = _snr_block(x, rhos, gamma_bar)
+    first, *later = network.hops
+    sample(first.model, stream, size=size, out=prefix)
+    with np.errstate(divide="ignore"):
+        np.divide(first.rho, prefix, out=inv)
+        for hop in later:
+            sample(hop.model, stream, size=size, out=x)
+            prefix *= x
+            np.divide(hop.rho, prefix, out=x)
+            inv += x
+        np.divide(gamma_bar, inv, out=inv)
     # SNR exactly at threshold counts as outage (documented tie-break).
-    return int(np.count_nonzero(snr <= network.gamma_t))
+    return int(np.count_nonzero(inv <= network.gamma_t))
 
 
 def _worker_cap() -> int | None:
@@ -120,33 +124,29 @@ def estimate_outage(
     n_samples = int(n_samples)
     if n_samples < 1000:
         raise ValueError(f"n_samples must be at least 1000, got {n_samples}")
-    blocks = []
-    offset = 0
-    index = 0
-    while offset < n_samples:
-        size = min(block_size, n_samples - offset)
-        blocks.append((stream_base + index, size))
-        offset += size
-        index += 1
+    blocks = [(stream_base + b, min(block_size, n_samples - lo))
+              for b, lo in enumerate(range(0, n_samples, block_size))]
+    if n_workers is None:  # every core this process may run on
+        n_workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(max(1, int(n_workers)), _worker_cap() or len(blocks), len(blocks))
+    # Worker w counts blocks w, w + workers, ... in buffers[w].  One allocation
+    # for all workers is large enough (two or more at the default block size)
+    # that malloc maps it afresh and unmaps it on return, whatever arena each
+    # worker thread uses, so the resident peak stays put from call to call.
+    buffers = np.empty((workers, 3, min(block_size, n_samples)))
 
-    workers = 1 if n_workers is None else max(1, int(n_workers))
-    cap = _worker_cap()
-    if cap is not None:
-        workers = min(workers, cap)
+    def count_share(w):
+        return [_count_block_outages(network, gamma_bar, seed, idx, size, buffers[w])
+                for idx, size in blocks[w::workers]]
 
     if workers == 1:
-        counts = [
-            _count_block_outages(network, gamma_bar, seed, idx, size)
-            for idx, size in blocks
-        ]
+        per_share = [count_share(0)]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            counts = list(
-                pool.map(
-                    lambda b: _count_block_outages(network, gamma_bar, seed, b[0], b[1]),
-                    blocks,
-                )
-            )
+            per_share = list(pool.map(count_share, range(workers)))
+    counts = [0] * len(blocks)  # back in block order
+    for w, share_counts in enumerate(per_share):
+        counts[w::workers] = share_counts
     n_outages = sum(counts)  # ordered reduction over block index
     p_hat = n_outages / n_samples
     ci_low, ci_high = clopper_pearson(n_outages, n_samples)

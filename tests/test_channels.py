@@ -300,6 +300,32 @@ def test_sample_determinism():
     assert not np.array_equal(xa, xc)
 
 
+# Draws 0, 16383, 16384 and 70000 and the sum of 70001 gains from stream
+# (20260418, 7), frozen from numpy's allocating samplers: bit for bit, so any
+# change to the stream layout or to the rounding of the sampler shows.
+FROZEN_DRAWS = {
+    F.nakagami(2.2, 1.3): ([3.826039345820528, 1.9047535689330137, 2.9212176363336595, 3.286378664179301],
+                           200165.4328759081),
+    F.weibull(1.8, 0.7): ([1.213271453994416, 1.1405019218512296, 0.8111692807629937, 0.42464628373940966],
+                          43639.946613764856),
+    F.rician(3.0, 1.7): ([2.3119375286178014, 0.6567385969577871, 1.0266562099912664, 1.1294482155798862],
+                         118836.32836736328),
+    F.hoyt(1 / 3, 2.0): ([1.0397741401135547, 3.2729049155557295, 0.12305061303574168, 0.047660379719168755],
+                         140144.67475110188),
+}
+
+
+@pytest.mark.parametrize("model", list(FROZEN_DRAWS))
+def test_sample_frozen_draws(model):
+    values, total = FROZEN_DRAWS[model]
+    fresh = channels.sample(model, RandomStream(20260418, 7), size=70001)
+    into = channels.sample(model, RandomStream(20260418, 7), size=70001, out=np.full(70001, np.nan))
+    for x in (fresh, into):
+        assert [float(x[i]) for i in (0, 16383, 16384, 70000)] == values
+        assert float(x.sum()) == total
+    assert isinstance(channels.sample(model, RandomStream(20260418, 7)), float)
+
+
 def test_pole_spec_fields():
     p = PoleSpec(complex(-1.8), 2)
     assert p.location == -1.8 + 0j and p.order == 2

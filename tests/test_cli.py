@@ -93,6 +93,13 @@ def test_parse_rejects_syntax_and_schema():
         parse_config(json.dumps({"gamma_t": "abc", "hops": [{"fading": "nakagami", "m": 1}]}))
     with pytest.raises(ConfigSchemaError):
         parse_config(json.dumps({"gamma_t_db": [1], "hops": [{"fading": "nakagami", "m": 1}]}))
+    # numbers that overflow a float
+    with pytest.raises(ConfigSchemaError):
+        parse_config(json.dumps({"gamma_t_db": 4000, "hops": [{"fading": "nakagami", "m": 1}]}))
+    with pytest.raises(ConfigSchemaError):
+        parse_config(json.dumps({"gamma_t": 10**400, "hops": [{"fading": "nakagami", "m": 1}]}))
+    with pytest.raises(ConfigSchemaError):
+        parse_config(json.dumps({"hops": [{"fading": "nakagami", "m": 1, "theta": 10**400}]}))
 
 
 def test_parse_gamma_t_linear_and_db():

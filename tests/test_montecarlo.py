@@ -2,7 +2,9 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -32,18 +34,31 @@ F = FadingModel
 # ---------------------------------------------------------------------------
 
 
-def end_to_end_snr(gains, rhos, gamma_bar):
-    """One chain's SNR through the vectorised fold the estimator uses."""
-    return float(montecarlo._snr_block(np.array([gains], dtype=float), np.asarray(rhos), gamma_bar)[0])
+@pytest.fixture
+def end_to_end_snr(monkeypatch):
+    """One chain's SNR through the forward fold the estimator uses.
+
+    Each hop's model is a stand-in whose scale is the hop's gain, drawn by a
+    stubbed sampler; the fold leaves the SNR in its second buffer.
+    """
+    monkeypatch.setattr(montecarlo, "sample", lambda model, stream, size, out: out.fill(model.scale))
+
+    def snr(gains, rhos, gamma_bar):
+        hops = [channels.HopConfig(F.nakagami(1.0, g), r) for g, r in zip(gains, rhos)]
+        buffers = np.empty((3, 1))
+        montecarlo._count_block_outages(SimpleNamespace(hops=hops, gamma_t=1.0), gamma_bar, 0, 0, 1, buffers)
+        return float(buffers[1, 0])
+
+    return snr
 
 
-def test_snr_examples():
+def test_snr_examples(end_to_end_snr):
     assert end_to_end_snr([3.0], [1.0], 10.0) == pytest.approx(30.0)
     assert end_to_end_snr([2.0, 1.0], [1.0, 1.0], 10.0) == pytest.approx(10.0)
     assert end_to_end_snr([1.0, 1.0, 1.0], [1.0, 1.0, 1.0], 30.0) == pytest.approx(10.0)
 
 
-def test_snr_monotonicity_property():
+def test_snr_monotonicity_property(end_to_end_snr):
     rng = np.random.default_rng(42)
     for _ in range(200):
         n = int(rng.integers(1, 5))
@@ -81,13 +96,29 @@ def test_estimate_two_hop_rayleigh_covers_closed_form():
 
 def test_estimate_determinism_and_worker_invariance():
     net = rayleigh_chain(2)
-    a = estimate_outage(net, 10.0, 10**6, seed=7)
-    b = estimate_outage(net, 10.0, 10**6, seed=7)
-    c = estimate_outage(net, 10.0, 10**6, seed=7, n_workers=8)
+    # eight blocks, so eight workers each count one
+    a = estimate_outage(net, 10.0, 10**6, seed=7, block_size=1 << 17)
+    b = estimate_outage(net, 10.0, 10**6, seed=7, block_size=1 << 17)
+    c = estimate_outage(net, 10.0, 10**6, seed=7, block_size=1 << 17, n_workers=8)
     assert a == b == c
     assert isinstance(a, OutageEstimate) and a.seed == 7
     d = estimate_outage(net, 10.0, 10**6, seed=8)
     assert d != a
+
+
+def test_estimate_more_workers_than_cores(monkeypatch):
+    # 40 small blocks over 8 threads switching every microsecond: each
+    # worker writes only its own buffers, so the count matches one worker's
+    monkeypatch.delenv("RELAY_ASYM_THREADS", raising=False)
+    net = REFERENCE_CONFIGS["inhom"]
+    ref = estimate_outage(net, 10.0, 200_000, seed=9, block_size=5000, n_workers=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        many = estimate_outage(net, 10.0, 200_000, seed=9, block_size=5000, n_workers=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert many == ref
 
 
 def test_estimate_thread_cap_env(monkeypatch):
@@ -96,6 +127,45 @@ def test_estimate_thread_cap_env(monkeypatch):
     monkeypatch.setenv("RELAY_ASYM_THREADS", "2")
     capped = estimate_outage(net, 10.0, 10**5, seed=3, n_workers=16)
     assert capped == ref
+
+
+# Outage counts at gamma_bar = 10 dB, seed 20260418, in blocks of 2^18 with a
+# partial last block, frozen from the backward-suffix SNR fold over gains
+# drawn by numpy's allocating samplers.
+FROZEN_SAMPLES = (1 << 20) + 12345
+FROZEN_COUNTS = {
+    "nak3": 49221,
+    "wei4": 476727,
+    "ric3": 353949,
+    "hoyt4": 771854,
+    "inhom": 443396,
+    "mixed": 859234,
+}
+
+
+@pytest.mark.parametrize("n_workers", [1, 2, None])
+def test_estimate_counts_frozen(n_workers, monkeypatch):
+    monkeypatch.delenv("RELAY_ASYM_THREADS", raising=False)
+    nets = {name: REFERENCE_CONFIGS[name] for name in FROZEN_COUNTS if name != "mixed"}
+    nets["mixed"] = make_network(
+        [F.hoyt(0.5), F.weibull(1.5, 2.0), F.rician(2.0, 0.5), F.nakagami(0.8, 1.5)],
+        rhos=[1.0, 0.5, 2.0, 1.5], gamma_t=2.0,
+    )
+    for name, net in nets.items():
+        est = estimate_outage(net, 10.0, FROZEN_SAMPLES, seed=20260418, block_size=1 << 18, n_workers=n_workers)
+        assert est.n_outages == FROZEN_COUNTS[name], name
+
+
+@pytest.mark.parametrize("name", ["ric4", "hoyt4"])
+def test_block_fold_holds_three_block_arrays(name):
+    size = 1 << 18
+    tracemalloc.start()
+    try:
+        montecarlo._count_block_outages(REFERENCE_CONFIGS[name], 10.0, 5, 0, size, np.empty((3, size)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * size * 8
 
 
 def test_estimate_requires_min_samples():
