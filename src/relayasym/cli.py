@@ -5,8 +5,11 @@ Configuration is a single JSON document naming the threshold and hop list:
     {"gamma_t_db": 0.0,
      "hops": [{"fading": "nakagami", "m": 2.2, "theta": 1.0, "rho": 1.0}, ...]}
 
-Exit codes: 0 success, 2 config syntax/schema, 3 model validation,
-4 numerical failure, 5 I/O.
+The parsed command-line arguments are the only options object: each
+command takes the validated network and the argparse namespace.  ``main``
+maps every error to its exit code in one place: 0 success, 2 config
+syntax/schema or a bad option value (including config text that is not
+UTF-8), 3 model validation, 4 numerical failure, 5 I/O.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 
 from . import analysis, mellin, montecarlo
 # validate_model stays a name of this module: the benchmark tracer wraps
@@ -38,8 +40,6 @@ EXIT_MODEL = 3
 EXIT_NUMERICAL = 4
 EXIT_IO = 5
 
-COMMANDS = ("poles", "asymptote", "simulate", "sweep", "diversity")
-
 _SHAPE_KEYS = ("m", "K", "q")
 _HOP_KEYS = {"fading", "theta", "rho", *_SHAPE_KEYS}
 _TOP_KEYS = {"gamma_t_db", "gamma_t", "hops"}
@@ -53,23 +53,6 @@ class ConfigSyntaxError(RelayAsymError, ValueError):
 
 class ConfigSchemaError(RelayAsymError, ValueError):
     """Config JSON violates the expected schema."""
-
-
-@dataclass
-class RunConfig:
-    """Parsed network plus command and its options."""
-
-    network: NetworkConfig
-    command: str = "poles"
-    db_from: float | None = None
-    db_to: float | None = None
-    db_step: float = 5.0
-    samples: int = 10**6
-    seed: int = 42
-    lambda_max: int = mellin.DEFAULT_LAMBDA_MAX
-    re_min: float | None = None
-    out: str | None = None
-    oracle: bool = False
 
 
 def _schema_error(msg: str) -> ConfigSchemaError:
@@ -106,8 +89,8 @@ def _parse_hop(entry, index: int) -> HopConfig:
     return HopConfig(model=model, rho=rho)
 
 
-def parse_config(text: str, command: str = "poles", **options) -> RunConfig:
-    """Parse and fully validate a JSON config into a RunConfig.
+def parse_config(text: str) -> NetworkConfig:
+    """Parse and fully validate a JSON config into a NetworkConfig.
 
     Raises ConfigSyntaxError for malformed JSON, ConfigSchemaError for
     structural problems (unknown keys, missing hops, rho_1 != 1), and
@@ -137,14 +120,11 @@ def parse_config(text: str, command: str = "poles", **options) -> RunConfig:
         raise _schema_error("'hops' must be a non-empty list")
     hops = [_parse_hop(entry, i) for i, entry in enumerate(hops_doc)]
     try:
-        network = NetworkConfig(hops=tuple(hops), gamma_t=gamma_t)
+        return NetworkConfig(hops=tuple(hops), gamma_t=gamma_t)
     except ModelValidationError:
         raise  # exit 3
     except ValueError as exc:  # rho, first-hop rho or gamma_t: exit 2
         raise _schema_error(str(exc)) from exc
-    if command not in COMMANDS:
-        raise _schema_error(f"unknown command {command!r}")
-    return RunConfig(network=network, command=command, **options)
 
 
 def _format_prob(value: float | None) -> str:
@@ -179,16 +159,15 @@ def emit_csv(rows, path: str | None):
             fh.write(text)
 
 
-def _require_db_range(cfg: RunConfig) -> tuple[float, float, float]:
-    if cfg.db_from is None or cfg.db_to is None:
-        raise _schema_error(f"command '{cfg.command}' needs --db-from and --db-to")
-    return (cfg.db_from, cfg.db_to, cfg.db_step)
+def _require_db_range(args: argparse.Namespace) -> tuple[float, float, float]:
+    if args.db_from is None or args.db_to is None:
+        raise _schema_error(f"command '{args.command}' needs --db-from and --db-to")
+    return (args.db_from, args.db_to, args.db_step)
 
 
-def _cmd_poles(cfg: RunConfig) -> None:
-    network = cfg.network
+def _cmd_poles(network: NetworkConfig, args: argparse.Namespace) -> None:
     s0, k = mellin.leading_pole(network)
-    re_min = cfg.re_min if cfg.re_min is not None else s0 - mellin.DEFAULT_RE_MIN_OFFSET
+    re_min = args.re_min if args.re_min is not None else s0 - mellin.DEFAULT_RE_MIN_OFFSET
     poles = mellin.enumerate_poles(network, (0,) * network.n_hops, 0, re_min)
     print(f"# poles of the lambda=0 integrand with Re(s) >= {re_min:g}")
     print("location order")
@@ -199,8 +178,8 @@ def _cmd_poles(cfg: RunConfig) -> None:
     print(f"d = {-s0:g}")
 
 
-def _cmd_asymptote(cfg: RunConfig) -> None:
-    expansion = mellin.build_expansion(cfg.network, cfg.lambda_max, cfg.re_min)
+def _cmd_asymptote(network: NetworkConfig, args: argparse.Namespace) -> None:
+    expansion = mellin.build_expansion(network, args.lambda_max, args.re_min)
     print(f"# expansion terms: sum_i c_i (ln g)^i g^exponent  "
           f"(lambda_max={expansion.lambda_max}, re_min={expansion.re_min:g})")
     print("exponent coefficients(c0..)")
@@ -209,12 +188,12 @@ def _cmd_asymptote(cfg: RunConfig) -> None:
         print(f"{term.exponent:g} {coeffs}")
 
 
-def _cmd_simulate(cfg: RunConfig) -> None:
-    if cfg.db_from is None:
+def _cmd_simulate(network: NetworkConfig, args: argparse.Namespace) -> None:
+    if args.db_from is None:
         raise _schema_error("simulate needs --db-from (the gamma_bar point in dB)")
-    gamma_bar = analysis.db_to_linear(cfg.db_from)
-    est = montecarlo.estimate_outage(cfg.network, gamma_bar, cfg.samples, cfg.seed)
-    print(f"gamma_db = {cfg.db_from:g}")
+    gamma_bar = analysis.db_to_linear(args.db_from)
+    est = montecarlo.estimate_outage(network, gamma_bar, args.samples, args.seed)
+    print(f"gamma_db = {args.db_from:g}")
     print(f"p_hat = {est.p_hat:.8e}")
     print(f"ci95 = [{est.ci_low:.8e}, {est.ci_high:.8e}]")
     print(f"n_samples = {est.n_samples}")
@@ -222,22 +201,22 @@ def _cmd_simulate(cfg: RunConfig) -> None:
     print(f"seed = {est.seed}")
 
 
-def _cmd_sweep(cfg: RunConfig) -> None:
+def _cmd_sweep(network: NetworkConfig, args: argparse.Namespace) -> None:
     rows = analysis.sweep_compare(
-        cfg.network,
-        _require_db_range(cfg),
-        n_samples=cfg.samples if cfg.samples > 0 else None,
-        oracle=cfg.oracle,
-        lambda_max=cfg.lambda_max,
-        re_min=cfg.re_min,
-        seed=cfg.seed,
+        network,
+        _require_db_range(args),
+        n_samples=args.samples or None,  # 0 disables MC; a negative count is an error
+        oracle=args.oracle,
+        lambda_max=args.lambda_max,
+        re_min=args.re_min,
+        seed=args.seed,
     )
-    emit_csv(rows, cfg.out)
+    emit_csv(rows, args.out)
 
 
-def _cmd_diversity(cfg: RunConfig) -> None:
-    lo, hi, step = _require_db_range(cfg)
-    s0, k = mellin.leading_pole(cfg.network)
+def _cmd_diversity(network: NetworkConfig, args: argparse.Namespace) -> None:
+    lo, hi, step = _require_db_range(args)
+    s0, k = mellin.leading_pole(network)
     print("gamma_db d_finite")
     for db in analysis._db_grid(lo, hi, step):
         d = analysis.finite_diversity(s0, k, analysis.db_to_linear(db))
@@ -252,27 +231,8 @@ _DISPATCH = {
     "diversity": _cmd_diversity,
 }
 
-
-def run_command(cfg: RunConfig) -> int:
-    """Execute a validated RunConfig; returns the process exit code."""
-    try:
-        _DISPATCH[cfg.command](cfg)
-    except ConfigSchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (IllConditionedContourError, QuadratureConvergenceError,
-            ArgumentRangeError, SeriesDivergenceError, UnsupportedNetworkError,
-            PoleAtArgumentError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ValueError as exc:
-        # bad option values (sample counts, db ranges) surface here
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    return EXIT_OK
+_NUMERICAL_ERRORS = (IllConditionedContourError, QuadratureConvergenceError, ArgumentRangeError,
+                     SeriesDivergenceError, UnsupportedNetworkError, PoleAtArgumentError)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -281,7 +241,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="High-SNR outage asymptotics for fixed-gain amplify-and-forward chains",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name in _DISPATCH:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True,
                        help="path to the JSON network config, or - for stdin")
@@ -308,32 +268,24 @@ def _read_config_text(path: str) -> str:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    # The handlers are ordered: the typed errors below are ValueErrors too.
     try:
-        text = _read_config_text(args.config)
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    try:
-        cfg = parse_config(
-            text,
-            command=args.command,
-            db_from=args.db_from,
-            db_to=args.db_to,
-            db_step=args.db_step,
-            samples=args.samples,
-            seed=args.seed,
-            lambda_max=args.lambda_max,
-            re_min=args.re_min,
-            out=args.out,
-            oracle=args.oracle,
-        )
-    except (ConfigSyntaxError, ConfigSchemaError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        network = parse_config(_read_config_text(args.config))
+        _DISPATCH[args.command](network, args)
     except ModelValidationError as exc:
         print(f"model validation failure: {exc}", file=sys.stderr)
         return EXIT_MODEL
-    return run_command(cfg)
+    except _NUMERICAL_ERRORS as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except OSError as exc:
+        print(f"i/o error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except ValueError as exc:
+        # config syntax/schema, undecodable text, bad option values
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    return EXIT_OK
 
 
 if __name__ == "__main__":

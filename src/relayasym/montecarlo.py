@@ -6,8 +6,8 @@ Randomness comes from counter-based Philox streams keyed by (seed, stream
 index), so results are reproducible and independent of how work is split
 across workers: the estimate for a given (seed, n_samples, block_size) is
 bit-identical whether it runs on one thread or eight.  By default the
-estimator runs one worker thread per available core (at most one per
-block), capped by the RELAY_ASYM_THREADS environment variable.  Each block
+estimator runs one worker thread per core in the process's CPU affinity
+mask (at most one per block), so ``taskset`` sets the count.  Each block
 of chains is folded forward hop by hop as its gains are drawn, so a worker
 holds three block-sized buffers, which it reuses for all of its blocks.
 """
@@ -99,13 +99,6 @@ def _count_block_outages(network: NetworkConfig, gamma_bar: float, seed: int,
     return int(np.count_nonzero(inv <= network.gamma_t))
 
 
-def _worker_cap() -> int | None:
-    raw = os.environ.get("RELAY_ASYM_THREADS", "").strip()
-    if not raw:
-        return None
-    return max(1, int(raw))
-
-
 def estimate_outage(
     network: NetworkConfig,
     gamma_bar: float,
@@ -128,7 +121,7 @@ def estimate_outage(
               for b, lo in enumerate(range(0, n_samples, block_size))]
     if n_workers is None:  # every core this process may run on
         n_workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    workers = min(max(1, int(n_workers)), _worker_cap() or len(blocks), len(blocks))
+    workers = min(max(1, int(n_workers)), len(blocks))
     # Worker w counts blocks w, w + workers, ... in buffers[w].  One allocation
     # for all workers is large enough (two or more at the default block size)
     # that malloc maps it afresh and unmaps it on return, whatever arena each

@@ -19,7 +19,7 @@ from .errors import ArgumentRangeError, PoleAtArgumentError, SeriesDivergenceErr
 
 GAMMA_POLE_TOL = 1e-12
 
-#: Largest confluent-hypergeometric argument accepted by default; the Rician
+#: Largest confluent-hypergeometric argument accepted; the Rician
 #: K factor never exceeds this in supported configurations.
 KUMMER_Z_BOUND = 30.0
 
@@ -61,7 +61,7 @@ def _series(a, c: float, z: float):
     raise SeriesDivergenceError("hypergeometric series stalled before convergence")
 
 
-def kummer_1f1(a, b: float, z: float, z_bound: float = KUMMER_Z_BOUND):
+def kummer_1f1(a, b: float, z: float):
     """Confluent hypergeometric function 1F1(a, b; z) for real z, elementwise in a.
 
     Direct Taylor series with term-ratio stopping; entire in ``a``.  Negative
@@ -70,9 +70,9 @@ def kummer_1f1(a, b: float, z: float, z_bound: float = KUMMER_Z_BOUND):
     """
     b = float(b)
     z = float(z)
-    if abs(z) > z_bound:
+    if abs(z) > KUMMER_Z_BOUND:
         raise ArgumentRangeError(
-            f"1F1 argument |z|={abs(z):g} exceeds supported bound {z_bound:g}"
+            f"1F1 argument |z|={abs(z):g} exceeds supported bound {KUMMER_Z_BOUND:g}"
         )
     if b <= 0 and abs(b - round(b)) <= GAMMA_POLE_TOL:
         raise PoleAtArgumentError(f"1F1 undefined for b={b} (non-positive integer)")

@@ -51,11 +51,12 @@ RAY1_TEXT = json.dumps(
 
 
 def test_parse_three_hop_nakagami_config():
-    cfg = parse_config(NAK3_TEXT, command="poles")
-    assert cfg.network.n_hops == 3
-    assert cfg.network.gamma_t == 1.0
-    assert [h.model.shape for h in cfg.network.hops] == [2.2, 1.8, 1.8]
-    assert cfg.lambda_max == 2 and cfg.seed == 42 and cfg.samples == 10**6
+    network = parse_config(NAK3_TEXT)
+    assert network.n_hops == 3
+    assert network.gamma_t == 1.0
+    assert [h.model.shape for h in network.hops] == [2.2, 1.8, 1.8]
+    args = cli._build_parser().parse_args(["poles", "--config", "-"])
+    assert args.lambda_max == 2 and args.seed == 42 and args.samples == 10**6
 
 
 def test_parse_rejects_first_hop_rho():
@@ -104,9 +105,9 @@ def test_parse_rejects_syntax_and_schema():
 
 def test_parse_gamma_t_linear_and_db():
     linear = parse_config(json.dumps({"gamma_t": 2.0, "hops": json.loads(RAY1_TEXT)["hops"]}))
-    assert linear.network.gamma_t == 2.0
+    assert linear.gamma_t == 2.0
     db = parse_config(json.dumps({"gamma_t_db": 3.0, "hops": json.loads(RAY1_TEXT)["hops"]}))
-    assert db.network.gamma_t == pytest.approx(10 ** 0.3)
+    assert db.gamma_t == pytest.approx(10 ** 0.3)
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +279,11 @@ def test_exit_codes(tmp_path, capsys):
 
     assert cli.main(["poles", "--config", str(tmp_path / "missing.json")]) == EXIT_IO
 
+    # config text that is not UTF-8
+    not_utf8 = tmp_path / "not_utf8.json"
+    not_utf8.write_bytes(b"\xff" + RAY1_TEXT.encode())
+    assert cli.main(["poles", "--config", str(not_utf8)]) == EXIT_CONFIG
+
     # Rician K beyond the supported 1F1 argument range -> numerical failure
     big_k = {"gamma_t_db": 0.0, "hops": [{"fading": "rician", "K": 40.0}]}
     assert cli.main(["asymptote", "--config", _write(tmp_path, "bigk.json", json.dumps(big_k))]) == EXIT_NUMERICAL
@@ -285,6 +291,9 @@ def test_exit_codes(tmp_path, capsys):
     # missing db range for sweep
     ray = _write(tmp_path, "ray.json", RAY1_TEXT)
     assert cli.main(["sweep", "--config", ray, "--samples", "0"]) == EXIT_CONFIG
+    # a negative sample count is an error in sweeps as in simulate
+    sweep = ["sweep", "--config", ray, "--db-from", "10", "--db-to", "15", "--samples", "-5"]
+    assert cli.main(sweep) == EXIT_CONFIG
     capsys.readouterr()
 
 

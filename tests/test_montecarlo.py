@@ -106,10 +106,9 @@ def test_estimate_determinism_and_worker_invariance():
     assert d != a
 
 
-def test_estimate_more_workers_than_cores(monkeypatch):
+def test_estimate_more_workers_than_cores():
     # 40 small blocks over 8 threads switching every microsecond: each
     # worker writes only its own buffers, so the count matches one worker's
-    monkeypatch.delenv("RELAY_ASYM_THREADS", raising=False)
     net = REFERENCE_CONFIGS["inhom"]
     ref = estimate_outage(net, 10.0, 200_000, seed=9, block_size=5000, n_workers=1)
     interval = sys.getswitchinterval()
@@ -121,12 +120,18 @@ def test_estimate_more_workers_than_cores(monkeypatch):
     assert many == ref
 
 
-def test_estimate_thread_cap_env(monkeypatch):
-    net = rayleigh_chain(1)
-    ref = estimate_outage(net, 10.0, 10**5, seed=3)
-    monkeypatch.setenv("RELAY_ASYM_THREADS", "2")
-    capped = estimate_outage(net, 10.0, 10**5, seed=3, n_workers=16)
-    assert capped == ref
+def test_estimate_one_core_runs_inline(monkeypatch):
+    # the default worker count follows the CPU affinity mask: on one core
+    # the eight blocks are counted in this thread, with no pool
+    net = rayleigh_chain(2)
+    ref = estimate_outage(net, 10.0, 10**6, seed=7, block_size=1 << 17, n_workers=1)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a one-core estimate started a thread pool")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", no_pool)
+    assert estimate_outage(net, 10.0, 10**6, seed=7, block_size=1 << 17) == ref
 
 
 # Outage counts at gamma_bar = 10 dB, seed 20260418, in blocks of 2^18 with a
@@ -144,8 +149,7 @@ FROZEN_COUNTS = {
 
 
 @pytest.mark.parametrize("n_workers", [1, 2, None])
-def test_estimate_counts_frozen(n_workers, monkeypatch):
-    monkeypatch.delenv("RELAY_ASYM_THREADS", raising=False)
+def test_estimate_counts_frozen(n_workers):
     nets = {name: REFERENCE_CONFIGS[name] for name in FROZEN_COUNTS if name != "mixed"}
     nets["mixed"] = make_network(
         [F.hoyt(0.5), F.weibull(1.5, 2.0), F.rician(2.0, 0.5), F.nakagami(0.8, 1.5)],
