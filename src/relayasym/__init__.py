@@ -16,7 +16,6 @@ from .errors import (
     PoleAtArgumentError,
     QuadratureConvergenceError,
     TruncationWarning,
-    UnsupportedNetworkError,
 )
 from .mellin import (
     AsymptoteTerm,
@@ -48,7 +47,6 @@ __all__ = [
     "RandomStream",
     "SweepRow",
     "TruncationWarning",
-    "UnsupportedNetworkError",
     "build_expansion",
     "empirical_slope",
     "estimate_outage",

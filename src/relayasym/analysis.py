@@ -76,13 +76,24 @@ def empirical_slope(points) -> list[tuple[float, float]]:
     return out
 
 
+#: Most points a dB grid may have; a wider or finer grid is an input error.
+MAX_GRID_POINTS = 10_000
+
+
 def db_to_linear(db: float) -> float:
-    return 10.0 ** (db / 10.0)
+    """10^(db/10); ValueError where that overflows a float."""
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        raise ValueError(f"{db:g} dB overflows a float gain") from None
 
 
 def _db_grid(lo: float, hi: float, step: float) -> list[float]:
     if not (hi > lo and step > 0):
         raise ValueError("need lo < hi and step > 0")
+    if not (hi - lo) / step < MAX_GRID_POINTS:
+        raise ValueError(f"{lo:g} to {hi:g} dB in steps of {step:g} is more than "
+                         f"{MAX_GRID_POINTS} grid points")
     grid = []
     v = lo
     while v <= hi + 1e-9:
@@ -102,9 +113,10 @@ def sweep_compare(
 ) -> list[SweepRow]:
     """Evaluate asymptote (always), Monte Carlo and oracle (optional) on a dB grid.
 
-    One expansion is built for the whole sweep; each Monte Carlo row draws
-    from its own substream family (seed, row << 32 | block), so the sweep is
-    deterministic given the seed and rows never share samples.
+    One expansion is built for the whole sweep, and one oracle call serves
+    every row; each Monte Carlo row draws from its own substream family
+    (seed, row << 32 | block), so the sweep is deterministic given the seed
+    and rows never share samples.
     """
     grid = _db_grid(*db_range)
     top_gamma = db_to_linear(grid[-1])
@@ -112,16 +124,15 @@ def sweep_compare(
         network, lambda_max=lambda_max, re_min=re_min, warn_gamma_bar=top_gamma
     )
     s0, k = mellin.leading_pole(network)
+    gammas = [db_to_linear(db) for db in grid]
+    p_oracles = montecarlo.oracle_outage(network, gammas).tolist() if oracle else [None] * len(grid)
     rows = []
-    for i, db in enumerate(grid):
-        gamma_bar = db_to_linear(db)
+    for i, (db, gamma_bar, p_oracle) in enumerate(zip(grid, gammas, p_oracles)):
         p_asym = mellin.evaluate_expansion(expansion, gamma_bar)
         d_fin = finite_diversity(s0, k, gamma_bar)
-        p_mc = ci_low = ci_high = p_oracle = None
+        p_mc = ci_low = ci_high = None
         if n_samples:
             est = montecarlo.estimate_outage(network, gamma_bar, n_samples, seed=seed, stream_base=i << 32)
             p_mc, ci_low, ci_high = est.p_hat, est.ci_low, est.ci_high
-        if oracle:
-            p_oracle = montecarlo.oracle_outage(network, gamma_bar)
         rows.append(SweepRow(db, p_asym, d_fin, p_mc, ci_low, ci_high, p_oracle))
     return rows

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import analysis, mellin, montecarlo
@@ -30,7 +31,6 @@ from .errors import (
     QuadratureConvergenceError,
     RelayAsymError,
     SeriesDivergenceError,
-    UnsupportedNetworkError,
 )
 from .mellin import NetworkConfig
 
@@ -159,6 +159,14 @@ def emit_csv(rows, path: str | None):
             fh.write(text)
 
 
+def _check_finite(args: argparse.Namespace) -> None:
+    """ValueError (exit 2) for a dB option or --re-min that is inf or nan."""
+    for name in ("db_from", "db_to", "db_step", "re_min"):
+        value = getattr(args, name)
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"--{name.replace('_', '-')} must be finite, got {value}")
+
+
 def _require_db_range(args: argparse.Namespace) -> tuple[float, float, float]:
     if args.db_from is None or args.db_to is None:
         raise _schema_error(f"command '{args.command}' needs --db-from and --db-to")
@@ -232,7 +240,7 @@ _DISPATCH = {
 }
 
 _NUMERICAL_ERRORS = (IllConditionedContourError, QuadratureConvergenceError, ArgumentRangeError,
-                     SeriesDivergenceError, UnsupportedNetworkError, PoleAtArgumentError)
+                     SeriesDivergenceError, PoleAtArgumentError)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -255,7 +263,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--re-min", type=float, default=None)
         p.add_argument("--out", default=None, help="CSV output path (default stdout)")
         p.add_argument("--oracle", action="store_true",
-                       help="include the quadrature oracle column (N <= 3)")
+                       help="include the quadrature oracle column")
     return parser
 
 
@@ -270,6 +278,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     # The handlers are ordered: the typed errors below are ValueErrors too.
     try:
+        _check_finite(args)
         network = parse_config(_read_config_text(args.config))
         _DISPATCH[args.command](network, args)
     except ModelValidationError as exc:

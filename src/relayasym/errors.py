@@ -29,10 +29,6 @@ class QuadratureConvergenceError(RelayAsymError, ArithmeticError):
     """A quadrature rule could not reach its stated tolerance."""
 
 
-class UnsupportedNetworkError(RelayAsymError, ValueError):
-    """Operation not available for networks of this size."""
-
-
 class ConditioningWarning(UserWarning):
     """Nearly coincident poles: results may be ill-conditioned."""
 

@@ -393,10 +393,11 @@ def build_expansion(
     at all integrand poles with Re(s) >= re_min (default: 1.5 to the left of
     the rightmost pole of G).  The lambda_N = 0 residue at the origin equals
     1 and cancels the leading 1 of the outage formula, so it never appears as
-    a term.  If ``warn_gamma_bar`` is given, the lambda_max and lambda_max-1
-    truncations are compared there and a TruncationWarning is emitted when
-    they differ by more than 10% (formal-series divergence signal); the
-    lambda_max-1 truncation is the partial sum before the last order.
+    a term.  If ``warn_gamma_bar`` is given, the unclamped lambda_max and
+    lambda_max-1 truncations are compared there and a TruncationWarning is
+    emitted when the lambda_max sum is not positive or the two differ by more
+    than 10% of it (formal-series divergence signal); the lambda_max-1
+    truncation is the partial sum before the last order.
     """
     if lambda_max < 0:
         raise ValueError("lambda_max must be >= 0")
@@ -450,23 +451,29 @@ def build_expansion(
     )
 
     if lower is not None:
-        hi_val = evaluate_expansion(expansion, warn_gamma_bar)
-        lo_val = evaluate_expansion(lower, warn_gamma_bar)
-        if hi_val > 0 and abs(hi_val - lo_val) > 0.1 * hi_val:
+        # the unclamped sums: a nonpositive one is the worst truncation of all
+        hi_val = _term_sum(expansion, warn_gamma_bar)
+        lo_val = _term_sum(lower, warn_gamma_bar)
+        if hi_val <= 0 or abs(hi_val - lo_val) > 0.1 * hi_val:
             warnings.warn(
-                f"truncation orders {lambda_max} and {lambda_max - 1} differ by "
-                f"{abs(hi_val - lo_val) / hi_val:.1%} at gamma_bar={warn_gamma_bar:g}",
+                f"truncation orders {lambda_max} and {lambda_max - 1} sum to "
+                f"{hi_val:.3e} and {lo_val:.3e} at gamma_bar={warn_gamma_bar:g}",
                 TruncationWarning,
                 stacklevel=2,
             )
     return expansion
 
 
-def evaluate_expansion(expansion: AsymptoticExpansion, gamma_bar: float) -> float:
-    """Evaluate the expansion at gamma_bar > 1, clamped to [0, 1]."""
+def _term_sum(expansion: AsymptoticExpansion, gamma_bar: float) -> float:
+    """Sum of the expansion's terms at gamma_bar > 1, unclamped."""
     if gamma_bar <= 1.0:
         raise ValueError(f"gamma_bar must exceed 1 (ln gamma_bar > 0), got {gamma_bar}")
     total = 0.0
     for term in expansion.terms:
         total += term.evaluate(gamma_bar)
-    return min(max(total, 0.0), 1.0)
+    return total
+
+
+def evaluate_expansion(expansion: AsymptoticExpansion, gamma_bar: float) -> float:
+    """Evaluate the expansion at gamma_bar > 1, clamped to [0, 1]."""
+    return min(max(_term_sum(expansion, gamma_bar), 0.0), 1.0)

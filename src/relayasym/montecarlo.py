@@ -1,6 +1,7 @@
 """Ground-truth engines: end-to-end SNR sampling, Monte Carlo outage
-estimation with exact binomial confidence intervals, and a fixed-grid
-quadrature oracle for networks of up to three hops.
+estimation with exact binomial confidence intervals, and an exact
+quadrature oracle for networks of any length, by a backward recursion on a
+fixed log-gain grid.
 
 Randomness comes from counter-based Philox streams keyed by (seed, stream
 index), so results are reproducible and independent of how work is split
@@ -22,8 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import betaincinv
 
-from .channels import FadingModel, HOYT, NAKAGAMI, RICIAN, WEIBULL, cdf, pdf, sample
-from .errors import QuadratureConvergenceError, UnsupportedNetworkError
+from .channels import cdf, pdf, sample
+from .errors import QuadratureConvergenceError
 from .mellin import NetworkConfig
 
 DEFAULT_BLOCK_SIZE = 1 << 20
@@ -155,9 +156,10 @@ T_LO, T_HI = -45.0, 6.0
 PANEL_WIDTH = 0.5
 GL_NODES = 16
 
-#: Hop-2 rows per block of the N = 3 grid: 64 x 1632 doubles is 0.8 MB, so
-#: the temporaries stay small where the whole 1632^2 grid would be 21 MB.
-ROW_BLOCK = 64
+#: Rows per block of a middle hop's G x G kernel: 32 x 1632 doubles is
+#: 0.4 MB, so the pdf temporaries stay small where the whole kernel would be
+#: 21 MB.
+ROW_BLOCK = 32
 
 #: Largest gain mass the window may leave out, relative to the result.
 ORACLE_RTOL = 1e-6
@@ -171,100 +173,53 @@ def _quad():
     return (mid + half * x).ravel(), np.tile(half * w, mid.size)
 
 
-def oracle_outage(network: NetworkConfig, gamma_bar: float) -> float:
-    """Exact outage probability for N <= 3 on a fixed log-gain grid.
+def oracle_outage(network: NetworkConfig, gamma_bar):
+    """Exact outage probability of an N-hop chain on a fixed log-gain grid.
 
-    The chain is in outage when X1 <= xi1 + xi2/X2 + xi3/(X2 X3), so hop 1
-    integrates out in closed form and the outage is the outage mass
-    E[F1(xi1 + xi2/X2 + xi3/(X2 X3))], with no 1 - survival step.  Hops 2
-    and 3 are integrated in t = ln x, density x pdf(x), by composite
-    16-point Gauss-Legendre panels on [T_LO, T_HI].  The stated error is the
-    gain mass that window leaves out, P(X < e^T_LO) + P(X > e^T_HI) summed
-    over the integrated hops; QuadratureConvergenceError is raised when it
-    exceeds ORACLE_RTOL of the result.
+    Elementwise on an array of gamma_bar (scalar in, scalar out).  With
+    U_N = 1/X_N and U_n = (1 + r_n U_{n+1})/X_n, r_n = rho_{n+1}/rho_n, the
+    chain is in outage when X1 <= xi1 + xi2 U_2, so hop 1 integrates out in
+    closed form and the outage is the outage mass E[F1(xi1 + xi2 U_2)], with
+    no 1 - survival step.  The density g_n of s = ln U_n is tabulated at the
+    nodes of composite 16-point Gauss-Legendre panels on [-T_HI, -T_LO], the
+    log-gain window [T_LO, T_HI] reflected: g_N(s) = x pdf_N(x) at x = e^-s,
+    and each middle hop is one Nystrom step
+    g_n(s_i) = sum_j w_j g_{n+1}(s_j) x pdf_n(x), x = (1 + r_n e^{s_j}) e^{-s_i}.
+    Only the last step, G values of F1, depends on gamma_bar.  The stated
+    error is the mass the window leaves out, each term an outage mass from
+    cdf: P(X_N < e^T_LO) + P(X_N > e^T_HI) for the last hop, and
+    P(X_n > e^T_HI) + sum_j w_j g_{n+1}(s_j) F_n((1 + r_n e^{s_j}) e^T_LO)
+    for each middle hop; QuadratureConvergenceError is raised when it exceeds
+    ORACLE_RTOL of the result.
     """
-    n = network.n_hops
-    if n > 3:
-        raise UnsupportedNetworkError(f"quadrature oracle supports N <= 3, got N={n}")
+    gamma_bar = np.asarray(gamma_bar, dtype=float)
     xis = network.xi(gamma_bar)
-    first = network.hops[0].model
-    if n == 1:
-        return float(cdf(first, xis[0]))
+    first, *later = network.hops
+    if not later:
+        return cdf(first.model, xis[0])
     t, w = _quad()
     x = np.exp(t)
-    inv = np.exp(-t)
-    later = [hop.model for hop in network.hops[1:]]
-    weights = [w * x * pdf(model, x) for model in later]
-    u2 = xis[0] + xis[1] * inv
-    if n == 2:
-        value = float(weights[0] @ cdf(first, u2))
-    else:
-        value = 0.0
-        for lo in range(0, t.size, ROW_BLOCK):
-            rows = slice(lo, lo + ROW_BLOCK)
-            u = u2[rows, None] + xis[2] * np.outer(inv[rows], inv)
-            value += float(weights[0][rows] @ cdf(first, u) @ weights[1])
+    es = np.exp(-t)  # e^s at the reflected nodes s = -t
+    last = later[-1].model
+    wg = w * x * pdf(last, x)  # w_j g_N(s_j)
     # The upper tail is 1 - F only to ~1e-16 absolute, far below any bound
     # it meets while the outage exceeds 1e-10.
-    omitted = sum(
-        float(cdf(model, math.exp(T_LO))) + (1.0 - float(cdf(model, math.exp(T_HI))))
-        for model in later
-    )
-    if omitted > ORACLE_RTOL * value:
+    omitted = float(cdf(last, math.exp(T_LO))) + (1.0 - float(cdf(last, math.exp(T_HI))))
+    for hop, nxt in reversed(list(zip(later, later[1:]))):
+        shift = 1.0 + (nxt.rho / hop.rho) * es
+        g = np.empty_like(t)
+        for lo in range(0, t.size, ROW_BLOCK):
+            y = np.outer(x[lo:lo + ROW_BLOCK], shift)
+            g[lo:lo + ROW_BLOCK] = (y * pdf(hop.model, y)) @ wg
+        omitted += (1.0 - float(cdf(hop.model, math.exp(T_HI)))
+                    + float(wg @ cdf(hop.model, shift * math.exp(T_LO))))
+        wg = w * g
+    # One dot product per gamma_bar, so a sweep gives each point's value bit for bit.
+    value = np.array([cdf(first.model, xi1 + xi2 * es) @ wg
+                      for xi1, xi2 in zip(np.ravel(xis[0]), np.ravel(xis[1]))]).reshape(gamma_bar.shape)
+    if np.any(omitted > ORACLE_RTOL * value):
         raise QuadratureConvergenceError(
             f"log-gain window [{T_LO:g}, {T_HI:g}] leaves out gain mass {omitted:.2e}, "
-            f"above {ORACLE_RTOL:g} of the outage {value:.3e}"
+            f"above {ORACLE_RTOL:g} of the outage {np.min(value):.3e}"
         )
-    return value
-
-
-# ---------------------------------------------------------------------------
-# Independent closed form for the two-hop Rayleigh chain
-# ---------------------------------------------------------------------------
-
-
-def bessel_k1(z: float) -> float:
-    """K1(z) through its integral representation, independent of scipy.
-
-    K1(z) = int_0^inf exp(-z cosh t) cosh t dt.  The integrand decays
-    double-exponentially, so a plain trapezoid rule is spectrally accurate.
-    """
-    if z <= 0.0:
-        raise ValueError("K1 integral representation needs z > 0")
-    # Truncate where z*cosh(T) is ~ 60 e-foldings below the peak.
-    t_max = math.asinh((60.0 + abs(math.log(z))) / z) + 1.0
-    n = 2000
-    h = t_max / n
-    total = 0.5 * math.exp(-z)  # t = 0 endpoint, cosh 0 = 1
-    for i in range(1, n + 1):
-        t = i * h
-        c = math.cosh(t)
-        total += math.exp(-z * c) * c
-    return total * h
-
-
-def _as_exponential_mean(model: FadingModel) -> float:
-    """Mean of a model that reduces to an exponential gain, else ValueError."""
-    reducible = (
-        (model.variant in (NAKAGAMI, WEIBULL) and model.shape == 1.0)
-        or (model.variant == RICIAN and model.shape == 0.0)
-        or (model.variant == HOYT and model.shape == 1.0)
-    )
-    if not reducible:
-        raise ValueError(f"{model.variant}(shape={model.shape}) is not exponential")
-    return model.scale
-
-
-def two_hop_rayleigh_outage(network: NetworkConfig, gamma_bar: float) -> float:
-    """Closed-form outage for a two-hop chain of exponential gains.
-
-    p_o = 1 - exp(-xi1/theta1) * z * K1(z) with z = 2 sqrt(xi2/(theta1 theta2)).
-    Serves as the independent cross-check of the quadrature oracle.
-    """
-    if network.n_hops != 2:
-        raise UnsupportedNetworkError("closed form is for two hops")
-    theta1 = _as_exponential_mean(network.hops[0].model)
-    theta2 = _as_exponential_mean(network.hops[1].model)
-    xi1, xi2 = network.xi(gamma_bar)
-    z = 2.0 * math.sqrt(xi2 / (theta1 * theta2))
-    return 1.0 - math.exp(-xi1 / theta1) * z * bessel_k1(z)
+    return value[()]

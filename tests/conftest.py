@@ -1,6 +1,8 @@
+import math
+
 import pytest
 
-from relayasym.channels import FadingModel, HopConfig
+from relayasym.channels import HOYT, NAKAGAMI, RICIAN, WEIBULL, FadingModel, HopConfig
 from relayasym.mellin import NetworkConfig
 
 F = FadingModel
@@ -32,3 +34,55 @@ REFERENCE_CONFIGS = {
 @pytest.fixture(scope="session")
 def reference_configs():
     return REFERENCE_CONFIGS
+
+
+# ---------------------------------------------------------------------------
+# Independent closed form for the two-hop Rayleigh chain
+# ---------------------------------------------------------------------------
+
+
+def bessel_k1(z: float) -> float:
+    """K1(z) through its integral representation, independent of scipy.
+
+    K1(z) = int_0^inf exp(-z cosh t) cosh t dt.  The integrand decays
+    double-exponentially, so a plain trapezoid rule is spectrally accurate.
+    """
+    if z <= 0.0:
+        raise ValueError("K1 integral representation needs z > 0")
+    # Truncate where z*cosh(T) is ~ 60 e-foldings below the peak.
+    t_max = math.asinh((60.0 + abs(math.log(z))) / z) + 1.0
+    n = 2000
+    h = t_max / n
+    total = 0.5 * math.exp(-z)  # t = 0 endpoint, cosh 0 = 1
+    for i in range(1, n + 1):
+        t = i * h
+        c = math.cosh(t)
+        total += math.exp(-z * c) * c
+    return total * h
+
+
+def _as_exponential_mean(model: FadingModel) -> float:
+    """Mean of a model that reduces to an exponential gain, else ValueError."""
+    reducible = (
+        (model.variant in (NAKAGAMI, WEIBULL) and model.shape == 1.0)
+        or (model.variant == RICIAN and model.shape == 0.0)
+        or (model.variant == HOYT and model.shape == 1.0)
+    )
+    if not reducible:
+        raise ValueError(f"{model.variant}(shape={model.shape}) is not exponential")
+    return model.scale
+
+
+def two_hop_rayleigh_outage(network: NetworkConfig, gamma_bar: float) -> float:
+    """Closed-form outage for a two-hop chain of exponential gains.
+
+    p_o = 1 - exp(-xi1/theta1) * z * K1(z) with z = 2 sqrt(xi2/(theta1 theta2)).
+    Serves as the independent cross-check of the quadrature oracle.
+    """
+    if network.n_hops != 2:
+        raise ValueError("closed form is for two hops")
+    theta1 = _as_exponential_mean(network.hops[0].model)
+    theta2 = _as_exponential_mean(network.hops[1].model)
+    xi1, xi2 = network.xi(gamma_bar)
+    z = 2.0 * math.sqrt(xi2 / (theta1 * theta2))
+    return 1.0 - math.exp(-xi1 / theta1) * z * bessel_k1(z)

@@ -12,9 +12,9 @@ from relayasym.analysis import (
     sweep_compare,
 )
 from relayasym.channels import FadingModel
-from relayasym.errors import TruncationWarning, UnsupportedNetworkError
+from relayasym.errors import TruncationWarning
 
-from conftest import REFERENCE_CONFIGS, make_network, rayleigh_chain
+from conftest import REFERENCE_CONFIGS, make_network, rayleigh_chain, two_hop_rayleigh_outage
 
 F = FadingModel
 
@@ -147,7 +147,7 @@ def test_sweep_deterministic_and_mc_columns():
     for row in rows_a:
         assert row.ci_low <= row.p_mc <= row.ci_high
         assert row.p_oracle == pytest.approx(
-            montecarlo.two_hop_rayleigh_outage(net, db_to_linear(row.gamma_bar_db)),
+            two_hop_rayleigh_outage(net, db_to_linear(row.gamma_bar_db)),
             abs=1e-9,
         )
     # different seed changes the Monte Carlo column only
@@ -157,9 +157,12 @@ def test_sweep_deterministic_and_mc_columns():
 
 
 @pytest.mark.filterwarnings("ignore::relayasym.errors.TruncationWarning")
-def test_sweep_oracle_rejected_above_three_hops():
-    with pytest.raises(UnsupportedNetworkError):
-        sweep_compare(rayleigh_chain(4), (10.0, 20.0, 5.0), n_samples=None, oracle=True)
+def test_sweep_oracle_fills_four_hop_rows():
+    net = rayleigh_chain(4)
+    rows = sweep_compare(net, (10.0, 20.0, 5.0), n_samples=None, oracle=True)
+    assert len(rows) == 3
+    for row in rows:
+        assert row.p_oracle == montecarlo.oracle_outage(net, db_to_linear(row.gamma_bar_db))
 
 
 def test_reordering_invariance_exponents():

@@ -294,6 +294,11 @@ def test_exit_codes(tmp_path, capsys):
     # a negative sample count is an error in sweeps as in simulate
     sweep = ["sweep", "--config", ray, "--db-from", "10", "--db-to", "15", "--samples", "-5"]
     assert cli.main(sweep) == EXIT_CONFIG
+    # option values that are not finite, or give no float gain or grid
+    assert cli.main(["asymptote", "--config", ray, "--re-min", "nan"]) == EXIT_CONFIG
+    assert cli.main(["simulate", "--config", ray, "--db-from", "4000"]) == EXIT_CONFIG
+    assert cli.main(["diversity", "--config", ray, "--db-from", "0", "--db-to", "10", "--db-step", "1e-9"]) == EXIT_CONFIG
+    assert cli.main(["sweep", "--config", ray, "--db-from", "0", "--db-to", "inf", "--samples", "0"]) == EXIT_CONFIG
     capsys.readouterr()
 
 

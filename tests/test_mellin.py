@@ -10,7 +10,7 @@ from relayasym.channels import FadingModel, HopConfig, PoleSpec
 from relayasym.errors import ConditioningWarning, IllConditionedContourError, TruncationWarning
 from relayasym.mellin import NetworkConfig
 
-from conftest import REFERENCE_CONFIGS, make_network, rayleigh_chain
+from conftest import REFERENCE_CONFIGS, make_network, rayleigh_chain, two_hop_rayleigh_outage
 
 F = FadingModel
 EULER_GAMMA = 0.5772156649015329
@@ -253,7 +253,7 @@ def test_two_hop_rayleigh_leading_coefficients_vs_oracle_fit():
     # compared with the accumulated expansion term at exponent -1
     net = rayleigh_chain(2)
     gammas = np.logspace(6, 8, 9)
-    y = np.array([montecarlo.two_hop_rayleigh_outage(net, g) * g for g in gammas])
+    y = np.array([two_hop_rayleigh_outage(net, g) * g for g in gammas])
     a = np.vstack([np.log(gammas), np.ones_like(gammas)]).T
     (c1_fit, c0_fit), *_ = np.linalg.lstsq(a, y, rcond=None)
     exp = mellin.build_expansion(net, 2, -3.0)
@@ -283,7 +283,7 @@ def test_build_expansion_one_hop_rayleigh_series():
 def test_build_expansion_two_hop_vs_oracle():
     net = rayleigh_chain(2)
     exp = mellin.build_expansion(net, 2, -3.0)
-    oracle = montecarlo.two_hop_rayleigh_outage(net, 1e6)
+    oracle = two_hop_rayleigh_outage(net, 1e6)
     assert mellin.evaluate_expansion(exp, 1e6) == pytest.approx(oracle, rel=0.05)
 
 
@@ -411,3 +411,12 @@ def test_truncation_warning_fires_when_orders_disagree():
         warnings.simplefilter("error", TruncationWarning)
         mellin.build_expansion(REFERENCE_CONFIGS["ric3"], 2, warn_gamma_bar=1e8)
         mellin.build_expansion(REFERENCE_CONFIGS["nak3"], 2, warn_gamma_bar=1e8)
+
+
+def test_truncation_warning_fires_when_sum_is_not_positive():
+    # the 8-hop Nakagami chain's lambda = 3 terms sum to about -1.85e-8 at
+    # 60 dB, which evaluate_expansion clamps to 0
+    nak8 = make_network([F.nakagami(m) for m in (2.2, 1.8, 1.6, 2.5, 2.1, 2.9, 1.7, 1.3)])
+    with pytest.warns(TruncationWarning, match="sum to -1.8"):
+        exp = mellin.build_expansion(nak8, 3, warn_gamma_bar=1e6)
+    assert mellin.evaluate_expansion(exp, 1e6) == 0.0

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
@@ -14,17 +15,10 @@ from scipy.special import gammainc, k1 as scipy_k1
 import relayasym
 from relayasym import channels, mellin, montecarlo
 from relayasym.channels import FadingModel
-from relayasym.errors import QuadratureConvergenceError, UnsupportedNetworkError
-from relayasym.montecarlo import (
-    OutageEstimate,
-    RandomStream,
-    bessel_k1,
-    estimate_outage,
-    oracle_outage,
-    two_hop_rayleigh_outage,
-)
+from relayasym.errors import QuadratureConvergenceError
+from relayasym.montecarlo import OutageEstimate, RandomStream, estimate_outage, oracle_outage
 
-from conftest import REFERENCE_CONFIGS, make_network, rayleigh_chain
+from conftest import REFERENCE_CONFIGS, bessel_k1, make_network, rayleigh_chain, two_hop_rayleigh_outage
 
 F = FadingModel
 
@@ -303,9 +297,42 @@ def test_oracle_raises_when_window_leaves_out_mass():
         oracle_outage(make_network([F.nakagami(2.0), F.nakagami(0.05)]), 100.0)
 
 
-def test_oracle_rejects_large_networks():
-    with pytest.raises(UnsupportedNetworkError):
-        oracle_outage(rayleigh_chain(4), 10.0)
+@pytest.mark.parametrize("name", ["wei4", "ric4", "hoyt4"])
+def test_oracle_four_hops_inside_mc_interval(name):
+    net = REFERENCE_CONFIGS[name]
+    est = estimate_outage(net, 100.0, 4 << 20, seed=20)
+    assert est.ci_low <= oracle_outage(net, 100.0) <= est.ci_high
+
+
+def test_oracle_eight_hops_settled_under_panel_halving(monkeypatch):
+    # six Nystrom steps converge with the panels, out to 60 dB
+    nak8 = make_network([F.nakagami(m) for m in (2.2, 1.8, 1.6, 2.5, 2.1, 2.9, 1.7, 1.3)])
+    gammas = np.array([1e2, 1e4, 1e6])
+    coarse = oracle_outage(nak8, gammas)
+    monkeypatch.setattr(montecarlo, "PANEL_WIDTH", montecarlo.PANEL_WIDTH / 2)
+    np.testing.assert_allclose(coarse, oracle_outage(nak8, gammas), rtol=1e-12, atol=0.0)
+
+
+def test_oracle_small_q_hoyt_first_hop():
+    # a q = 1e-3 first hop needs 10,000 polar nodes per CDF value, and the
+    # oracle takes G of them per gamma_bar
+    net = make_network([F.hoyt(1e-3), F.nakagami(1.8), F.nakagami(1.8)])
+    t0 = time.perf_counter()
+    exact = oracle_outage(net, 1e4)
+    elapsed = time.perf_counter() - t0
+    est = estimate_outage(net, 1e4, 4 << 20, seed=40)
+    assert est.ci_low <= exact <= est.ci_high
+    assert elapsed < 10.0
+
+
+def test_oracle_array_gamma_bar_matches_point_calls():
+    net = REFERENCE_CONFIGS["inhom"]
+    gammas = np.array([10.0, 1e3, 1e6])
+    values = oracle_outage(net, gammas)
+    assert values.shape == (3,)
+    assert list(values) == [oracle_outage(net, g) for g in gammas]
+    assert np.ndim(oracle_outage(net, 10.0)) == 0
+    assert list(oracle_outage(rayleigh_chain(1), gammas)) == [oracle_outage(rayleigh_chain(1), g) for g in gammas]
 
 
 def test_oracle_mc_agreement_two_hop_families():
