@@ -14,8 +14,8 @@ class SweepRow:
     """One gamma_bar grid point of a comparison sweep."""
 
     gamma_bar_db: float
-    p_asym: float
-    d_finite: float
+    p_asym: float | None
+    d_finite: float | None
     p_mc: float | None = None
     ci_low: float | None = None
     ci_high: float | None = None
@@ -116,20 +116,24 @@ def sweep_compare(
     One expansion is built for the whole sweep, and one oracle call serves
     every row; each Monte Carlo row draws from its own substream family
     (seed, row << 32 | block), so the sweep is deterministic given the seed
-    and rows never share samples.
+    and rows never share samples.  Rows at or below 0 dB (gamma_bar <= 1)
+    leave p_asym empty, and rows where finite_diversity is undefined leave
+    d_finite empty; the truncation check runs at the top gamma_bar when it
+    exceeds 1.
     """
     grid = _db_grid(*db_range)
     top_gamma = db_to_linear(grid[-1])
     expansion = mellin.build_expansion(
-        network, lambda_max=lambda_max, re_min=re_min, warn_gamma_bar=top_gamma
+        network, lambda_max=lambda_max, re_min=re_min,
+        warn_gamma_bar=top_gamma if top_gamma > 1.0 else None,
     )
     s0, k = mellin.leading_pole(network)
     gammas = [db_to_linear(db) for db in grid]
     p_oracles = montecarlo.oracle_outage(network, gammas).tolist() if oracle else [None] * len(grid)
     rows = []
     for i, (db, gamma_bar, p_oracle) in enumerate(zip(grid, gammas, p_oracles)):
-        p_asym = mellin.evaluate_expansion(expansion, gamma_bar)
-        d_fin = finite_diversity(s0, k, gamma_bar)
+        p_asym = mellin.evaluate_expansion(expansion, gamma_bar) if gamma_bar > 1.0 else None
+        d_fin = finite_diversity(s0, k, gamma_bar) if k == 1 or gamma_bar > math.e else None
         p_mc = ci_low = ci_high = None
         if n_samples:
             est = montecarlo.estimate_outage(network, gamma_bar, n_samples, seed=seed, stream_base=i << 32)

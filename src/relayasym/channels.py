@@ -31,6 +31,10 @@ SUPPORTED_FAMILIES = (NAKAGAMI, WEIBULL, RICIAN, HOYT)
 #: Two pole locations closer than this are treated as coincident.
 POLE_MERGE_TOL = 1e-9
 
+#: Most moment poles one window may hold.  Windows that build hold a few
+#: hundred at most; a wider or finer one would walk the lattice for minutes.
+MAX_LATTICE_POLES = 2_000
+
 #: Hoyt axial ratios below this would need more than 10,000 polar nodes
 #: (see specfun.polar_nodes) per moment or distribution-function call.
 HOYT_Q_MIN = 1e-3
@@ -65,24 +69,6 @@ class FadingModel:
     @classmethod
     def hoyt(cls, q: float, theta: float = 1.0) -> "FadingModel":
         return cls(HOYT, q, theta)
-
-    @property
-    def omega(self) -> float:
-        """Exponent parameter of the unified Nakagami/Weibull density."""
-        if self.variant == NAKAGAMI:
-            return 1.0
-        if self.variant == WEIBULL:
-            return self.shape
-        raise ValueError(f"omega undefined for {self.variant}")
-
-    @property
-    def nu(self) -> float:
-        """Normalization of the unified Nakagami/Weibull density."""
-        if self.variant == NAKAGAMI:
-            return math.gamma(self.shape)
-        if self.variant == WEIBULL:
-            return 1.0
-        raise ValueError(f"nu undefined for {self.variant}")
 
 
 @dataclass(frozen=True)
@@ -158,9 +144,10 @@ def pdf(model: FadingModel, x):
     shape, theta = model.shape, model.scale
     with np.errstate(divide="ignore"):
         if model.variant in (NAKAGAMI, WEIBULL):
-            omega = model.omega
+            # omega/nu theta^-m y^(m-1) exp(-(y/theta)^omega), the unified density
+            omega, nu = (1.0, math.gamma(shape)) if model.variant == NAKAGAMI else (shape, 1.0)
             log_p = (
-                math.log(omega / model.nu)
+                math.log(omega / nu)
                 - shape * math.log(theta)
                 + xlogy(shape - 1.0, y)
                 - (y / theta) ** omega
@@ -241,25 +228,21 @@ def log_moment(model: FadingModel, s):
     )
 
 
-def moment(model: FadingModel, s):
-    """E[X^s] for complex s (scalar or array) away from the pole lattice.
-
-    The defining formulas continue meromorphically, so any non-pole point of
-    the continuation is a valid argument, not just Re(s) above the rightmost
-    pole.
-    """
-    return np.exp(log_moment(model, s))
-
-
 def mellin_poles(model: FadingModel, re_min: float) -> list[PoleSpec]:
     """All poles of s -> E[X^s] with Re(s) >= re_min, rightmost first.
 
     Each entry has order 1: gamma poles are simple and the hypergeometric
     factors are entire in s.  Order aggregation across hops happens in the
-    mellin module.
+    mellin module.  A window of more than MAX_LATTICE_POLES points raises
+    ValueError before any is listed.
     """
     r0 = _rightmost_pole(model)
     step = _pole_spacing(model)
+    if (r0 - re_min) / step >= MAX_LATTICE_POLES:
+        raise ValueError(
+            f"Re(s) >= {re_min:g} holds more than {MAX_LATTICE_POLES} poles of the "
+            f"{model.variant} moment (spacing {step:g})"
+        )
     out: list[PoleSpec] = []
     loc = r0
     while loc >= re_min:

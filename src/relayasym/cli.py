@@ -147,7 +147,7 @@ def emit_csv(rows, path: str | None):
                     _format_prob(r.ci_low),
                     _format_prob(r.ci_high),
                     _format_prob(r.p_oracle),
-                    repr(float(r.d_finite)),
+                    "" if r.d_finite is None else repr(float(r.d_finite)),
                 ]
             )
         )

@@ -2,15 +2,28 @@
 truncated asymptotic outage expansion.
 
 The outage probability of an N-hop chain admits a formal series whose terms
-are contour integrals indexed by weak compositions; closing each contour
-through the left half-plane turns the series into a sum of residues at the
-poles of the per-hop moment functions.  Every residue of order k contributes
-a polynomial in ln(gamma_bar) of degree k-1 times a power of gamma_bar, and
-those polynomials are what :class:`AsymptoticExpansion` stores.
+are contour integrals indexed by weak compositions of lambda_N; closing each
+contour through the left half-plane turns the series into a sum of residues
+at the poles of the per-hop moment functions.  Every residue of order k
+contributes a polynomial in ln(gamma_bar) of degree k-1 times a power of
+gamma_bar, and those polynomials are what :class:`AsymptoticExpansion`
+stores.
+
+One routine, ``_residues``, takes one composition term to its residues: it
+merges the term's poles in the window (:func:`enumerate_poles`), sizes each
+contour by the nearest other pole, and extracts the Laurent data by
+:func:`residue_at`.  :func:`leading_term` takes the first residue of the
+lambda_N = 0 term; :func:`build_expansion` sums the residues of every term
+by exponent, and its truncation check compares the sum of all orders with
+the sum of the orders below lambda_max.  The pole lattices are walked by
+:func:`relayasym.channels.mellin_poles`, which refuses a window of more
+than ``MAX_LATTICE_POLES`` points.  The expansion is a series in
+1/gamma_bar and ln(gamma_bar), so it is evaluated only for gamma_bar > 1.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -80,16 +93,6 @@ class NetworkConfig:
 
 
 @dataclass(frozen=True)
-class CompositionTerm:
-    """One weak composition of the correction series and its coefficient."""
-
-    ell: tuple[int, ...]
-    lambda_total: int
-    lambda_partial: tuple[int, ...]
-    coefficient: float
-
-
-@dataclass(frozen=True)
 class AsymptoteTerm:
     """Coefficients c_i of sum_i c_i (ln gamma_bar)^i gamma_bar^exponent."""
 
@@ -128,69 +131,31 @@ def weak_compositions(total: int, parts: int):
             yield (first,) + rest
 
 
-def composition_term(network: NetworkConfig, ell: tuple[int, ...]) -> CompositionTerm:
-    """Build the CompositionTerm for one weak composition of lambda_N."""
+def composition_term(network: NetworkConfig, ell: tuple[int, ...]) -> tuple[tuple[int, ...], float]:
+    """Prefix sums (lambda_1 = 0, ..., lambda_N) and coefficient of one weak composition."""
     n = network.n_hops
     if len(ell) != n - 1:
         raise ValueError(f"composition must have {n - 1} parts, got {len(ell)}")
-    partial = [0]
-    for l_j in ell:
-        partial.append(partial[-1] + l_j)
-    lam = partial[-1]
     rho_n = network.hops[-1].rho
     coeff = 1.0
-    for j, l_j in enumerate(ell):
-        rho_j = network.hops[j].rho
-        coeff *= (-rho_j / rho_n) ** l_j / math.factorial(l_j)
-    return CompositionTerm(tuple(ell), lam, tuple(partial), coeff)
-
-
-def _gamma_ratio_prefactor(lambda_total: int):
-    """gamma(s+lambda)/gamma(s+1) reduced analytically for integer lambda >= 0.
-
-    Returns (function, pole_contribs, zero_locations): 1/s with its origin
-    pole for lambda = 0, the constant 1 for lambda = 1, and the polynomial
-    prod_{i=1..lambda-1}(s+i) with its integer zeros for lambda >= 2.
-    """
-    if lambda_total == 0:
-        return (lambda s: 1.0 / s), [0.0], []
-    if lambda_total == 1:
-        return (lambda s: 1.0 + 0.0j), [], []
-    zeros = [-float(i) for i in range(1, lambda_total)]
-
-    def poly(s):
-        out = 1.0 + 0.0j
-        for i in range(1, lambda_total):
-            out *= s + i
-        return out
-
-    return poly, [], zeros
-
-
-def _check_shifts(network: NetworkConfig, shifts, lambda_total: int) -> tuple[int, ...]:
-    shifts = tuple(int(v) for v in shifts)
-    if len(shifts) != network.n_hops:
-        raise ValueError(
-            f"shifts must list one lambda_j per hop ({network.n_hops}), got {len(shifts)}"
-        )
-    if shifts[0] != 0 or shifts[-1] != lambda_total:
-        raise ValueError("shifts must be prefix sums: lambda_1 = 0, lambda_N = lambda_total")
-    return shifts
+    for hop, l_j in zip(network.hops, ell):
+        coeff *= (-hop.rho / rho_n) ** l_j / math.factorial(l_j)
+    return tuple(itertools.accumulate(ell, initial=0)), coeff
 
 
 def _pole_contributions(network, shifts, lambda_total, re_min):
-    """Raw (location, order-delta) pairs for one term's integrand, unmerged."""
+    """Raw (location, order-delta) pairs for one term's integrand, unmerged.
+
+    The prefactor gamma(s+lambda_N)/gamma(s+1) adds a pole at the origin for
+    lambda_N = 0 and zeros at -1, ..., -(lambda_N - 1) otherwise.
+    """
     contribs: list[tuple[float, int]] = []
     for hop, lam_j in zip(network.hops, shifts):
         for p in mellin_poles(hop.model, re_min + lam_j):
             contribs.append((p.location.real - lam_j, 1))
-    _, prefactor_poles, prefactor_zeros = _gamma_ratio_prefactor(lambda_total)
-    for loc in prefactor_poles:
-        if loc >= re_min:
-            contribs.append((loc, 1))
-    for loc in prefactor_zeros:
-        if loc >= re_min:
-            contribs.append((loc, -1))
+    if lambda_total == 0 and re_min <= 0.0:
+        contribs.append((0.0, 1))
+    contribs += [(-float(i), -1) for i in range(1, lambda_total) if -i >= re_min]
     return contribs
 
 
@@ -223,26 +188,21 @@ def enumerate_poles(network: NetworkConfig, shifts, lambda_total: int, re_min: f
     zero or below (a prefactor zero cancelling a moment pole) are removed.
     Sorted by descending real part.
     """
-    shifts = _check_shifts(network, shifts, lambda_total)
     merged = _merge_contributions(_pole_contributions(network, shifts, lambda_total, re_min))
-    out = [
-        PoleSpec(complex(loc), order)
-        for loc, order in sorted(merged, reverse=True)
-        if order > 0
-    ]
-    return out
+    return [PoleSpec(complex(loc), order) for loc, order in sorted(merged, reverse=True) if order > 0]
 
 
 def _term_integrand(network: NetworkConfig, shifts, lambda_total: int, rings: dict):
     """The residue-engine integrand of one composition term, minus xi^-s.
 
-    Takes a whole array of nodes: one log_moment ring per hop.  ``rings``
+    Takes a whole array of nodes: one log_moment ring per hop, times the
+    prefactor gamma(s+lambda_N)/gamma(s+1), which is 1/s for lambda_N = 0
+    and the polynomial prod_{i=1..lambda_N-1}(s+i) otherwise.  ``rings``
     memoises those rings by (model, exact node bytes); the terms of one
     expansion share it, so a shifted ring that several weak compositions
     and poles meet is evaluated once, and a hit is the array a fresh call
     would return.
     """
-    prefactor, _, _ = _gamma_ratio_prefactor(lambda_total)
     models = [hop.model for hop in network.hops]
 
     def log_ring(model, nodes: np.ndarray) -> np.ndarray:
@@ -253,7 +213,9 @@ def _term_integrand(network: NetworkConfig, shifts, lambda_total: int, rings: di
 
     def f(s: np.ndarray) -> np.ndarray:
         acc = sum(log_ring(model, s + lam_j) for model, lam_j in zip(models, shifts))
-        return prefactor(s) * np.exp(acc)
+        if lambda_total == 0:
+            return (1.0 / s) * np.exp(acc)
+        return math.prod((s + i for i in range(1, lambda_total)), start=1.0 + 0.0j) * np.exp(acc)
 
     return f
 
@@ -326,15 +288,6 @@ def _rightmost_network_pole(network: NetworkConfig) -> float:
     return max(_rightmost_pole(hop.model) for hop in network.hops)
 
 
-def _context_distance(location: float, others) -> float:
-    dist = math.inf
-    for loc in others:
-        gap = abs(location - loc)
-        if gap >= POLE_MERGE_TOL:
-            dist = min(dist, gap)
-    return dist
-
-
 def leading_pole(network: NetworkConfig) -> tuple[float, int]:
     """Location and merged order of the rightmost non-origin pole of G(s).
 
@@ -346,37 +299,63 @@ def leading_pole(network: NetworkConfig) -> tuple[float, int]:
     return s0, entry.order
 
 
+def _residues(network: NetworkConfig, shifts, lambda_total: int, re_min: float, rings: dict):
+    """Yield (location, Laurent data) at each pole of one composition term's integrand.
+
+    Poles with Re(s) >= re_min, rightmost first, as :func:`residue_at`
+    returns them; the lambda_N = 0 pole at the origin is skipped, because
+    its residue 1 cancels the leading 1 of the outage formula.  Each
+    contour's radius is set by the nearest other pole, looked for down to
+    re_min - 2.
+    """
+    poles = enumerate_poles(network, shifts, lambda_total, re_min)
+    wide = [loc for loc, _ in _pole_contributions(network, shifts, lambda_total, re_min - 2.0)]
+    f = _term_integrand(network, shifts, lambda_total, rings)
+    for pole in poles:
+        loc = pole.location.real
+        if lambda_total == 0 and abs(loc) < POLE_MERGE_TOL:
+            continue
+        context = min((abs(loc - o) for o in wide if abs(loc - o) >= POLE_MERGE_TOL), default=math.inf)
+        yield loc, residue_at(f, pole, context)
+
+
 def leading_term(network: NetworkConfig):
     """Rightmost non-origin pole of G(s) and its full residue polynomial.
 
     Returns (term, s0, k): the lambda_N = 0 residue contribution at s0 as an
     AsymptoteTerm in the ln(gamma_bar) basis (all log powers, not just the
-    top one), the pole location, and its merged order.  The diversity order
-    is -s0.
+    top one), the pole location, and its effective order.  The diversity
+    order is -s0.
     """
-    s0, k = leading_pole(network)
-    shifts = (0,) * network.n_hops
-    wide = _pole_contributions(network, shifts, 0, s0 - 2.5)
-    context = _context_distance(s0, [loc for loc, _ in wide])
-    f = _term_integrand(network, shifts, 0, {})
-    derivs = residue_at(f, PoleSpec(complex(s0), k), context)
+    s0 = _rightmost_network_pole(network)
+    loc, derivs = next(_residues(network, (0,) * network.n_hops, 0, s0 - 0.5, {}))
     a_scale = network.gamma_t * network.hops[-1].rho
-    coeffs = _rebase_coefficients(-1.0, derivs, s0, a_scale)
-    return AsymptoteTerm(s0, tuple(coeffs)), s0, len(derivs)
+    coeffs = _rebase_coefficients(-1.0, derivs, loc, a_scale)
+    return AsymptoteTerm(loc, tuple(coeffs)), loc, len(derivs)
 
 
-def _trimmed_terms(exponents, coeff_lists) -> tuple[AsymptoteTerm, ...]:
-    """Accumulated coefficients as terms by descending exponent, trailing zeros dropped."""
-    terms = []
-    for exponent, coeffs in zip(exponents, coeff_lists):
-        trim_tol = 1e-12 * max(1e-300, float(np.abs(coeffs).max()))
-        last = None
-        for i, c in enumerate(coeffs):
-            if abs(c) > trim_tol:
-                last = i
-        if last is None:
+def _collect(entries) -> tuple[AsymptoteTerm, ...]:
+    """Sum (lambda_N, exponent, coefficients) entries by exponent, in entry order.
+
+    Terms come out by descending exponent, trailing zero coefficients dropped.
+    """
+    exponents: list[float] = []
+    sums: list[np.ndarray] = []
+    for _, exponent, coeffs in entries:
+        i = next((i for i, rep in enumerate(exponents) if abs(rep - exponent) < POLE_MERGE_TOL), None)
+        if i is None:
+            exponents.append(exponent)
+            sums.append(coeffs.copy())
             continue
-        terms.append(AsymptoteTerm(exponent, tuple(float(c) for c in coeffs[: last + 1])))
+        if len(coeffs) > len(sums[i]):
+            sums[i] = np.pad(sums[i], (0, len(coeffs) - len(sums[i])))
+        sums[i][: len(coeffs)] += coeffs
+    terms = []
+    for exponent, total in zip(exponents, sums):
+        trim_tol = 1e-12 * max(1e-300, float(np.abs(total).max()))
+        kept = np.flatnonzero(np.abs(total) > trim_tol)
+        if kept.size:
+            terms.append(AsymptoteTerm(exponent, tuple(float(c) for c in total[: kept[-1] + 1])))
     terms.sort(key=lambda t: t.exponent, reverse=True)
     return tuple(terms)
 
@@ -396,64 +375,26 @@ def build_expansion(
     a term.  If ``warn_gamma_bar`` is given, the unclamped lambda_max and
     lambda_max-1 truncations are compared there and a TruncationWarning is
     emitted when the lambda_max sum is not positive or the two differ by more
-    than 10% of it (formal-series divergence signal); the lambda_max-1
-    truncation is the partial sum before the last order.
+    than 10% of it (formal-series divergence signal).
     """
     if lambda_max < 0:
         raise ValueError("lambda_max must be >= 0")
-    s0_right = _rightmost_network_pole(network)
     if re_min is None:
-        re_min = s0_right - DEFAULT_RE_MIN_OFFSET
-    n = network.n_hops
+        re_min = _rightmost_network_pole(network) - DEFAULT_RE_MIN_OFFSET
     a_scale = network.gamma_t * network.hops[-1].rho
-
-    exponents: list[float] = []
-    coeff_lists: list[np.ndarray] = []
     rings: dict = {}  # log_moment rings shared by every term of this build
-
-    def accumulate(exponent: float, coeffs: np.ndarray) -> None:
-        for i, rep in enumerate(exponents):
-            if abs(rep - exponent) < POLE_MERGE_TOL:
-                old = coeff_lists[i]
-                if len(coeffs) > len(old):
-                    old = np.pad(old, (0, len(coeffs) - len(old)))
-                    coeff_lists[i] = old
-                old[: len(coeffs)] += coeffs
-                return
-        exponents.append(exponent)
-        coeff_lists.append(coeffs.astype(float).copy())
-
-    lower = None
+    entries = []  # (lambda_N, exponent, coefficients), one per residue
     for lam in range(lambda_max + 1):
-        if warn_gamma_bar is not None and lam == lambda_max and lam >= 1:
-            # the lambda_max - 1 truncation, snapshot before the last order
-            lower = AsymptoticExpansion(
-                _trimmed_terms(exponents, coeff_lists), lam - 1, re_min, network
-            )
-        for ell in weak_compositions(lam, n - 1):
-            term = composition_term(network, ell)
-            shifts = term.lambda_partial
-            poles = enumerate_poles(network, shifts, lam, re_min)
-            if not poles:
-                continue
-            wide = _pole_contributions(network, shifts, lam, re_min - 2.0)
-            wide_locs = [loc for loc, _ in wide]
-            f = _term_integrand(network, shifts, lam, rings)
-            for pole in poles:
-                loc = pole.location.real
-                if lam == 0 and abs(loc) < POLE_MERGE_TOL:
-                    continue  # cancels the leading 1
-                derivs = residue_at(f, pole, _context_distance(loc, wide_locs))
-                accumulate(loc, _rebase_coefficients(-term.coefficient, derivs, loc, a_scale))
+        for ell in weak_compositions(lam, network.n_hops - 1):
+            shifts, coeff = composition_term(network, ell)
+            for loc, derivs in _residues(network, shifts, lam, re_min, rings):
+                entries.append((lam, loc, _rebase_coefficients(-coeff, derivs, loc, a_scale)))
+    expansion = AsymptoticExpansion(_collect(entries), lambda_max, re_min, network)
 
-    expansion = AsymptoticExpansion(
-        _trimmed_terms(exponents, coeff_lists), lambda_max, re_min, network
-    )
-
-    if lower is not None:
+    if warn_gamma_bar is not None and lambda_max >= 1:
         # the unclamped sums: a nonpositive one is the worst truncation of all
-        hi_val = _term_sum(expansion, warn_gamma_bar)
-        lo_val = _term_sum(lower, warn_gamma_bar)
+        hi_val = _term_sum(expansion.terms, warn_gamma_bar)
+        lo_val = _term_sum(_collect(e for e in entries if e[0] < lambda_max), warn_gamma_bar)
         if hi_val <= 0 or abs(hi_val - lo_val) > 0.1 * hi_val:
             warnings.warn(
                 f"truncation orders {lambda_max} and {lambda_max - 1} sum to "
@@ -464,16 +405,13 @@ def build_expansion(
     return expansion
 
 
-def _term_sum(expansion: AsymptoticExpansion, gamma_bar: float) -> float:
-    """Sum of the expansion's terms at gamma_bar > 1, unclamped."""
+def _term_sum(terms: tuple[AsymptoteTerm, ...], gamma_bar: float) -> float:
+    """Sum of the terms at gamma_bar > 1, unclamped."""
     if gamma_bar <= 1.0:
         raise ValueError(f"gamma_bar must exceed 1 (ln gamma_bar > 0), got {gamma_bar}")
-    total = 0.0
-    for term in expansion.terms:
-        total += term.evaluate(gamma_bar)
-    return total
+    return sum((term.evaluate(gamma_bar) for term in terms), 0.0)
 
 
 def evaluate_expansion(expansion: AsymptoticExpansion, gamma_bar: float) -> float:
     """Evaluate the expansion at gamma_bar > 1, clamped to [0, 1]."""
-    return min(max(_term_sum(expansion, gamma_bar), 0.0), 1.0)
+    return min(max(_term_sum(expansion.terms, gamma_bar), 0.0), 1.0)

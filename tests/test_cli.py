@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import pytest
 
@@ -250,6 +251,22 @@ def test_sweep_command_mc_off(tmp_path, capsys):
     assert all(r.p_mc is None for r in rows)
 
 
+def test_sweep_command_from_0_db(tmp_path, capsys):
+    # at 0 dB the expansion and the k = 3 finite diversity are undefined and
+    # their cells stay empty; the rows above are those of a sweep from 5 dB
+    cfg = _write(tmp_path, "ric3.json", RIC3_TEXT)
+    args = ["sweep", "--config", cfg, "--db-to", "10", "--db-step", "5", "--samples", "0", "--oracle"]
+    assert cli.main(args + ["--db-from", "0"]) == EXIT_OK
+    from_0 = capsys.readouterr().out.splitlines()
+    assert cli.main(args + ["--db-from", "5"]) == EXIT_OK
+    from_5 = capsys.readouterr().out.splitlines()
+    db, p_asym, p_mc, ci_low, ci_high, p_oracle, d_finite = from_0[1].split(",")
+    assert (db, p_asym, p_mc, ci_low, ci_high, d_finite) == ("0.0", "", "", "", "", "")
+    assert 0.0 < float(p_oracle) < 1.0
+    assert from_0[2:] == from_5[1:]
+    assert len(from_5) == 3
+
+
 def test_diversity_command(tmp_path, capsys):
     cfg = _write(tmp_path, "ric3.json", RIC3_TEXT)
     args = ["diversity", "--config", cfg, "--db-from", "20", "--db-to", "40", "--db-step", "10"]
@@ -299,6 +316,13 @@ def test_exit_codes(tmp_path, capsys):
     assert cli.main(["simulate", "--config", ray, "--db-from", "4000"]) == EXIT_CONFIG
     assert cli.main(["diversity", "--config", ray, "--db-from", "0", "--db-to", "10", "--db-step", "1e-9"]) == EXIT_CONFIG
     assert cli.main(["sweep", "--config", ray, "--db-from", "0", "--db-to", "inf", "--samples", "0"]) == EXIT_CONFIG
+    # pole windows too wide or too fine to walk: a million poles, and 150,000
+    # poles of a Weibull m = 1e-5 moment in the default window
+    started = time.perf_counter()
+    assert cli.main(["asymptote", "--config", ray, "--re-min=-1e6"]) == EXIT_CONFIG
+    fine = {"gamma_t_db": 0.0, "hops": [{"fading": "weibull", "m": 1e-5}]}
+    assert cli.main(["asymptote", "--config", _write(tmp_path, "fine.json", json.dumps(fine))]) == EXIT_CONFIG
+    assert time.perf_counter() - started < 5.0
     capsys.readouterr()
 
 

@@ -42,12 +42,12 @@ def test_weak_compositions():
 
 def test_composition_term_fields():
     net = make_network([F.nakagami(1.0)] * 4, rhos=[1.0, 2.0, 3.0, 4.0])
-    term = mellin.composition_term(net, (1, 0, 2))
-    assert term.lambda_total == 3
-    assert term.lambda_partial == (0, 1, 1, 3)
+    shifts, coefficient = mellin.composition_term(net, (1, 0, 2))
+    assert shifts[-1] == 3
+    assert shifts == (0, 1, 1, 3)
     # prod (-rho_j/rho_N)^l_j / l_j! = (-1/4) * (-3/4)^2/2
-    assert term.coefficient == pytest.approx((-0.25) * (0.75**2) / 2.0, rel=1e-14)
-    assert math.copysign(1.0, term.coefficient) == (-1.0) ** term.lambda_total
+    assert coefficient == pytest.approx((-0.25) * (0.75**2) / 2.0, rel=1e-14)
+    assert math.copysign(1.0, coefficient) == (-1.0) ** shifts[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -333,14 +333,76 @@ def test_build_expansion_evaluates_each_ring_once(monkeypatch):
     assert first.terms == second.terms
 
 
+def test_leading_term_is_top_term_of_lambda_zero_expansion(reference_configs):
+    # one residue routine serves both: the leading term is the top term of
+    # the lambda = 0 expansion over the window that reaches half a unit left
+    for name, net in reference_configs.items():
+        term, s0, k = mellin.leading_term(net)
+        top = mellin.build_expansion(net, 0, re_min=s0 - 0.5).terms[0]
+        assert top.exponent == term.exponent == s0, name
+        assert top.log_coeffs == term.log_coeffs, name
+        assert len(term.log_coeffs) <= k, name
+
+
+#: lambda = 2 expansions of the reference configs at the default window,
+#: (exponent, log coefficients) by descending exponent, as recorded when
+#: build_expansion and leading_term came to share one residue routine.
+LAMBDA_2_TERMS = {
+    "nak3": [
+        (-1.8, (-0.8254975320126651, 1.2893154670553115)),
+        (-2.2, (3.1948150315972845,)),
+        (-2.8, (-0.03867069126242573, -1.3814094289878351)),
+        (-3.2, (-0.8039593649589056,)),
+    ],
+    "wei4": [
+        (-1.8, (41.716498477564556, -17.585559730097273, 8.225724696247973)),
+        (-2.2, (-4.7723754885105,)),
+        (-2.8, (-68.65367657295857, 5.590668810198842, -13.438483355329542)),
+    ],
+    "ric3": [
+        (-1.0, (2.965477006777908, 0.4010751916003667, 0.0029618352980803186)),
+        (-2.0, (-4.486272594228043, -0.8935216388698595)),
+    ],
+    "ric4": [
+        (-1.0, (1.1284379774866289, 1.6479588889940433, 0.1285272578124167, 0.0009872784326934382)),
+        (-2.0, (1.4160281326171273, -2.177708159334342, -0.44676081943493035)),
+    ],
+    "hoyt3": [
+        (-1.0, (8.686965844574372, -2.8917590269443325, 1.0850694444444435)),
+        (-2.0, (-16.934440646589415, 0.39227824072275985, -1.892794960974337)),
+    ],
+    "hoyt4": [
+        (-1.0, (-101.00482910967878, 44.839752666215816, -7.468879015011754, 0.7685908564814794)),
+        (-2.0, (-138.65870010480592, 178.75556695178398, -12.341057779111987, 5.021990371836499)),
+    ],
+    "inhom": [
+        (-1.0, (-0.08534993032030291, 1.6301233304332299)),
+        (-2.0, (4.358891709426962, -1.2387587468488697, 0.9196986029286056)),
+    ],
+}
+
+
+def test_lambda_2_coefficients_unchanged(reference_configs):
+    # every coefficient within 1e-12 of its term's largest recorded one
+    for name, net in reference_configs.items():
+        terms = mellin.build_expansion(net, 2).terms
+        want = LAMBDA_2_TERMS[name]
+        assert [t.exponent for t in terms] == [e for e, _ in want], name
+        for term, (_, coeffs) in zip(terms, want):
+            assert len(term.log_coeffs) == len(coeffs), (name, term.exponent)
+            scale = max(abs(c) for c in coeffs)
+            for got, c in zip(term.log_coeffs, coeffs):
+                assert abs(got - c) <= 1e-12 * scale, (name, term.exponent, got, c)
+
+
 def test_rightmost_pole_dominance(reference_configs):
     for name, net in reference_configs.items():
         s0, _ = mellin.leading_pole(net)
         n = net.n_hops
         for lam in range(0, 3):
             for ell in mellin.weak_compositions(lam, n - 1):
-                term = mellin.composition_term(net, ell)
-                poles = mellin.enumerate_poles(net, term.lambda_partial, lam, s0 - 1.5)
+                shifts, _ = mellin.composition_term(net, ell)
+                poles = mellin.enumerate_poles(net, shifts, lam, s0 - 1.5)
                 for p in poles:
                     if lam == 0 and abs(p.location.real) < 1e-9:
                         continue
