@@ -26,7 +26,7 @@ from .mellin import (
     leading_pole,
     leading_term,
 )
-from .montecarlo import OutageEstimate, RandomStream, estimate_outage, oracle_outage
+from .montecarlo import OutageEstimate, estimate_outage, oracle_outage, philox
 from .analysis import SweepRow, empirical_slope, finite_diversity, sweep_compare
 
 __version__ = "0.1.0"
@@ -44,7 +44,6 @@ __all__ = [
     "PoleAtArgumentError",
     "PoleSpec",
     "QuadratureConvergenceError",
-    "RandomStream",
     "SweepRow",
     "TruncationWarning",
     "build_expansion",
@@ -55,6 +54,7 @@ __all__ = [
     "leading_pole",
     "leading_term",
     "oracle_outage",
+    "philox",
     "sweep_compare",
     "validate_model",
 ]

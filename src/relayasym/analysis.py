@@ -39,6 +39,11 @@ def finite_diversity(s0: float, k: int, gamma_bar: float) -> float:
     return -s0 - (k - 1) * math.log(lg) / lg
 
 
+def diversity_where_defined(s0: float, k: int, gamma_bar: float) -> float | None:
+    """finite_diversity, or None where it is undefined (k >= 2 and gamma_bar <= e)."""
+    return finite_diversity(s0, k, gamma_bar) if k == 1 or gamma_bar > math.e else None
+
+
 def log_log_diversity(gamma_bar: float, p: float) -> float:
     """Origin-anchored log-log slope -ln p / ln gamma_bar.
 
@@ -133,7 +138,7 @@ def sweep_compare(
     rows = []
     for i, (db, gamma_bar, p_oracle) in enumerate(zip(grid, gammas, p_oracles)):
         p_asym = mellin.evaluate_expansion(expansion, gamma_bar) if gamma_bar > 1.0 else None
-        d_fin = finite_diversity(s0, k, gamma_bar) if k == 1 or gamma_bar > math.e else None
+        d_fin = diversity_where_defined(s0, k, gamma_bar)
         p_mc = ci_low = ci_high = None
         if n_samples:
             est = montecarlo.estimate_outage(network, gamma_bar, n_samples, seed=seed, stream_base=i << 32)

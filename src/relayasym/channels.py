@@ -216,7 +216,7 @@ def log_moment(model: FadingModel, s):
             -k
             + s * math.log(theta / (k + 1.0))
             + specfun.log_gamma(s + 1.0)
-            + np.log(specfun.kummer_1f1(s + 1.0, 1.0, k))
+            + np.log(specfun.kummer_1f1(s + 1.0, k))
         )
     # X = R^2 v(phi) with R^2 ~ Exp(mean 2) and phi uniform (see cdf), so
     # E[X^s] = (2 theta/(1+q^2))^s Gamma(1+s) mean_phi (cos^2 + q^2 sin^2)^s
@@ -256,20 +256,18 @@ def mellin_poles(model: FadingModel, re_min: float) -> list[PoleSpec]:
 SAMPLE_PIECE = 1 << 14
 
 
-def sample(model: FadingModel, rng, size: int | None = None, out: np.ndarray | None = None):
-    """Draw channel gains with density pdf(model, .).
+def sample(model: FadingModel, gen: np.random.Generator, size: int, out: np.ndarray | None = None):
+    """Draw ``size`` channel gains with density pdf(model, .) from ``gen``.
 
-    ``rng`` is either a numpy Generator or a montecarlo.RandomStream.
-    Scalar draw when size and out are None, ndarray otherwise.  ``out``, a
-    C-contiguous float64 array of ``size`` elements, receives the gains and
-    is returned.  Each family computes in place with the draws, order and
-    rounding of theta G, theta (-ln(1-U))^(1/m), c ((Z1 + sqrt(2K))^2 + Z2^2)
-    and s1 Z1 Z1 + s2 Z2 Z2, so a stream gives the same gains with or
-    without ``out``, and consecutive calls continue it.
+    ``out``, a C-contiguous float64 array of ``size`` elements, receives the
+    gains and is returned; without it a new array is.  Each family computes
+    in place with the draws, order and rounding of theta G,
+    theta (-ln(1-U))^(1/m), c ((Z1 + sqrt(2K))^2 + Z2^2) and
+    s1 Z1 Z1 + s2 Z2 Z2, so a generator gives the same gains with or without
+    ``out``, and consecutive calls continue its stream.
     """
-    gen = getattr(rng, "generator", rng)
     shape, theta = model.shape, model.scale
-    x = out if out is not None else np.empty(1 if size is None else size)
+    x = out if out is not None else np.empty(size)
     if model.variant == NAKAGAMI:
         gen.standard_gamma(shape, out=x)
         x *= theta
@@ -307,6 +305,4 @@ def sample(model: FadingModel, rng, size: int | None = None, out: np.ndarray | N
                 np.multiply(z, s2, out=t)
                 z *= t
                 part += z
-    if out is None and size is None:
-        return float(x[0])
     return x

@@ -220,7 +220,7 @@ def _term_integrand(network: NetworkConfig, shifts, lambda_total: int, rings: di
     return f
 
 
-def _extract_derivatives(ring, fv, k: int) -> tuple[list[float], float]:
+def _extract_derivatives(ring, fv, k: int, s0: float) -> tuple[list[float], float]:
     """H^(n)(s0) for n < k, where H(s) = (s-s0)^k f(s), via Fourier extraction.
 
     Also returns max |H| on the contour, the scale of those derivatives.
@@ -228,6 +228,12 @@ def _extract_derivatives(ring, fv, k: int) -> tuple[list[float], float]:
     h_ring = ring**k * fv
     mags = np.abs(h_ring)
     lo, hi = mags.min(), mags.max()
+    if hi == 0.0:
+        raise IllConditionedContourError(
+            f"the moment product underflows to 0 on the contour around the pole at "
+            f"s = {s0:g}, too far left of the leading pole; a --re-min (re_min) "
+            f"nearer the leading pole avoids it"
+        )
     if lo == 0.0 or hi / lo > _CONDITION_LIMIT:
         raise IllConditionedContourError(
             f"|H| spans a ratio of {hi / max(lo, 5e-324):.3e} on the contour"
@@ -258,7 +264,7 @@ def residue_at(f, pole: PoleSpec, context: float) -> list[float]:
     ring = radius * np.exp(2j * math.pi * np.arange(CONTOUR_NODES) / CONTOUR_NODES)
     fv = f(s0 + ring)
     while True:
-        derivs, scale = _extract_derivatives(ring, fv, k)
+        derivs, scale = _extract_derivatives(ring, fv, k, s0)
         if k > 1 and abs(derivs[0]) < ORDER_DROP_TOL * scale:
             k -= 1
             continue

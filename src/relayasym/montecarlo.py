@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import betaincinv
@@ -29,28 +29,16 @@ from .mellin import NetworkConfig
 
 DEFAULT_BLOCK_SIZE = 1 << 20
 
-_MASK64 = (1 << 64) - 1
 
+def philox(seed: int, stream_index: int = 0) -> np.random.Generator:
+    """Counter-based, splittable random source keyed by (seed, stream_index).
 
-@dataclass
-class RandomStream:
-    """Counter-based, splittable random source.
-
-    Distinct (seed, stream_index) pairs give statistically independent
-    Philox streams; rebuilding a stream from the same pair replays the exact
-    sequence.
+    Distinct pairs give statistically independent Philox streams; calling
+    again with the same pair replays the exact sequence.  Both key words are
+    taken modulo 2**64, so negative seeds are valid.
     """
-
-    seed: int
-    stream_index: int = 0
-    _generator: np.random.Generator | None = field(default=None, repr=False, compare=False)
-
-    @property
-    def generator(self) -> np.random.Generator:
-        if self._generator is None:
-            key = np.array([self.seed & _MASK64, self.stream_index & _MASK64], dtype=np.uint64)
-            self._generator = np.random.Generator(np.random.Philox(key=key))
-        return self._generator
+    key = np.array([seed % 2**64, stream_index % 2**64], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 @dataclass(frozen=True)
@@ -65,12 +53,13 @@ class OutageEstimate:
     seed: int
 
 
-def clopper_pearson(n_successes: int, n_trials: int, confidence: float = 0.95):
-    """Exact binomial confidence interval (equal-tailed), from beta quantiles."""
+def clopper_pearson(n_successes: int, n_trials: int):
+    """Exact equal-tailed 95% binomial confidence interval, from beta quantiles."""
     k, n = int(n_successes), int(n_trials)
-    alpha = 1.0 - confidence
-    low = 0.0 if k == 0 else float(betaincinv(k, n - k + 1, alpha / 2.0))
-    high = 1.0 if k == n else float(betaincinv(k + 1, n - k, 1.0 - alpha / 2.0))
+    # 0.025000000000000022, 6 ulps above 0.025; every interval so far used this tail
+    tail = (1.0 - 0.95) / 2.0
+    low = 0.0 if k == 0 else float(betaincinv(k, n - k + 1, tail))
+    high = 1.0 if k == n else float(betaincinv(k + 1, n - k, 1.0 - tail))
     return low, high
 
 
@@ -85,13 +74,13 @@ def _count_block_outages(network: NetworkConfig, gamma_bar: float, seed: int,
     (3, >= size) that a worker reuses for all of its blocks.
     """
     prefix, inv, x = buffers[:, :size]
-    stream = RandomStream(seed, stream_index)
+    gen = philox(seed, stream_index)
     first, *later = network.hops
-    sample(first.model, stream, size=size, out=prefix)
+    sample(first.model, gen, size=size, out=prefix)
     with np.errstate(divide="ignore"):
         np.divide(first.rho, prefix, out=inv)
         for hop in later:
-            sample(hop.model, stream, size=size, out=x)
+            sample(hop.model, gen, size=size, out=x)
             prefix *= x
             np.divide(hop.rho, prefix, out=x)
             inv += x
@@ -130,18 +119,14 @@ def estimate_outage(
     buffers = np.empty((workers, 3, min(block_size, n_samples)))
 
     def count_share(w):
-        return [_count_block_outages(network, gamma_bar, seed, idx, size, buffers[w])
-                for idx, size in blocks[w::workers]]
+        return sum(_count_block_outages(network, gamma_bar, seed, idx, size, buffers[w])
+                   for idx, size in blocks[w::workers])
 
     if workers == 1:
-        per_share = [count_share(0)]
+        n_outages = count_share(0)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_share = list(pool.map(count_share, range(workers)))
-    counts = [0] * len(blocks)  # back in block order
-    for w, share_counts in enumerate(per_share):
-        counts[w::workers] = share_counts
-    n_outages = sum(counts)  # ordered reduction over block index
+            n_outages = sum(pool.map(count_share, range(workers)))
     p_hat = n_outages / n_samples
     ci_low, ci_high = clopper_pearson(n_outages, n_samples)
     return OutageEstimate(p_hat, ci_low, ci_high, n_samples, n_outages, seed)

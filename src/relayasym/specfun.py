@@ -1,11 +1,11 @@
 """Complex-argument special functions for the moment formulas.
 
 Only the functions the channel moment formulas actually need are provided:
-log-gamma on the complex plane, the confluent hypergeometric function 1F1 by
-its Taylor series, the Gauss function 2F1(a, 1/2; 1; 1-p) by a polar midpoint
-rule whose nodes the Hoyt distribution function shares, and ln I0 for the
-Rician/Hoyt densities.  The first three act elementwise on arrays of their
-first argument, so a whole residue contour is one call.
+log-gamma on the complex plane, the confluent hypergeometric function
+1F1(a; 1; z) by its Taylor series, the Gauss function 2F1(a, 1/2; 1; 1-p) by
+a polar midpoint rule whose nodes the Hoyt distribution function shares,
+and ln I0 for the Rician/Hoyt densities.  The first three act elementwise on
+arrays of their first argument, so a whole residue contour is one call.
 """
 
 from __future__ import annotations
@@ -45,8 +45,8 @@ def log_gamma(z):
     return loggamma(z)
 
 
-def _series(a, c: float, z: float):
-    """sum_k (a)_k / (c)_k z^k / k!, elementwise over the array a.
+def _series(a, z: float):
+    """The 1F1(a; 1; z) series sum_k (a)_k z^k / (k!)^2, elementwise over the array a.
 
     Stops once every element's last term is below 1e-16 of its running sum.
     """
@@ -54,31 +54,29 @@ def _series(a, c: float, z: float):
     term = np.ones(a.shape, dtype=complex)
     total = term.copy()
     for k in range(_MAX_SERIES_TERMS):
-        term = term * ((a + k) * z / ((c + k) * (k + 1)))
+        term = term * ((a + k) * z / ((1.0 + k) * (k + 1)))
         total += term
         if k > 2 and np.all(np.abs(term) <= 1e-16 * np.abs(total)):
             return total[()]
     raise SeriesDivergenceError("hypergeometric series stalled before convergence")
 
 
-def kummer_1f1(a, b: float, z: float):
-    """Confluent hypergeometric function 1F1(a, b; z) for real z, elementwise in a.
+def kummer_1f1(a, z: float):
+    """Confluent hypergeometric function 1F1(a; 1; z) for real z, elementwise in a.
 
-    Direct Taylor series with term-ratio stopping; entire in ``a``.  Negative
-    arguments are routed through the Kummer transformation
-    1F1(a,b;z) = e^z 1F1(b-a, b; -z) so the series never alternates.
+    The Rician moment needs only b = 1.  Direct Taylor series with
+    term-ratio stopping; entire in ``a``.  The moments pass z = K >= 0, where
+    the series does not alternate; a negative z is routed through the Kummer
+    transformation 1F1(a; 1; z) = e^z 1F1(1 - a; 1; -z).
     """
-    b = float(b)
     z = float(z)
     if abs(z) > KUMMER_Z_BOUND:
         raise ArgumentRangeError(
             f"1F1 argument |z|={abs(z):g} exceeds supported bound {KUMMER_Z_BOUND:g}"
         )
-    if b <= 0 and abs(b - round(b)) <= GAMMA_POLE_TOL:
-        raise PoleAtArgumentError(f"1F1 undefined for b={b} (non-positive integer)")
     if z < 0:
-        return np.exp(z) * _series(b - a, b, -z)
-    return _series(a, b, z)
+        return np.exp(z) * _series(1.0 - a, -z)
+    return _series(a, z)
 
 
 def polar_nodes(p: float) -> np.ndarray:

@@ -283,6 +283,20 @@ def test_diversity_command(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 
 
+def test_diversity_command_from_0_db(tmp_path, capsys):
+    # at 0 dB the k = 3 finite diversity is undefined and reads nan, as its
+    # sweep cell stays empty; the rows above are those of a run from 5 dB
+    cfg = _write(tmp_path, "ric3.json", RIC3_TEXT)
+    args = ["diversity", "--config", cfg, "--db-to", "10", "--db-step", "5"]
+    assert cli.main(args + ["--db-from", "0"]) == EXIT_OK
+    from_0 = capsys.readouterr().out.splitlines()
+    assert cli.main(args + ["--db-from", "5"]) == EXIT_OK
+    from_5 = capsys.readouterr().out.splitlines()
+    assert from_0[1] == "0 nan"
+    assert from_0[2:] == from_5[1:]
+    assert len(from_5) == 3
+
+
 def test_exit_codes(tmp_path, capsys):
     bad_syntax = _write(tmp_path, "bad.json", "{nope")
     assert cli.main(["poles", "--config", bad_syntax]) == EXIT_CONFIG
@@ -324,6 +338,9 @@ def test_exit_codes(tmp_path, capsys):
     assert cli.main(["asymptote", "--config", _write(tmp_path, "fine.json", json.dumps(fine))]) == EXIT_CONFIG
     assert time.perf_counter() - started < 5.0
     capsys.readouterr()
+    # the moment product underflows to 0 on contours far left of the leading pole
+    assert cli.main(["asymptote", "--config", ray, "--re-min=-200"]) == EXIT_NUMERICAL
+    assert "underflow" in capsys.readouterr().err
 
 
 def test_stdin_config(tmp_path, capsys, monkeypatch):

@@ -1,3 +1,4 @@
+import importlib.util
 import math
 import os
 import subprocess
@@ -16,7 +17,7 @@ import relayasym
 from relayasym import channels, mellin, montecarlo
 from relayasym.channels import FadingModel
 from relayasym.errors import QuadratureConvergenceError
-from relayasym.montecarlo import OutageEstimate, RandomStream, estimate_outage, oracle_outage
+from relayasym.montecarlo import OutageEstimate, estimate_outage, oracle_outage, philox
 
 from conftest import REFERENCE_CONFIGS, bessel_k1, make_network, rayleigh_chain, two_hop_rayleigh_outage
 
@@ -35,7 +36,7 @@ def end_to_end_snr(monkeypatch):
     Each hop's model is a stand-in whose scale is the hop's gain, drawn by a
     stubbed sampler; the fold leaves the SNR in its second buffer.
     """
-    monkeypatch.setattr(montecarlo, "sample", lambda model, stream, size, out: out.fill(model.scale))
+    monkeypatch.setattr(montecarlo, "sample", lambda model, gen, size, out: out.fill(model.scale))
 
     def snr(gains, rhos, gamma_bar):
         hops = [channels.HopConfig(F.nakagami(1.0, g), r) for g, r in zip(gains, rhos)]
@@ -126,6 +127,27 @@ def test_estimate_one_core_runs_inline(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", no_pool)
     assert estimate_outage(net, 10.0, 10**6, seed=7, block_size=1 << 17) == ref
+
+
+def test_bench_tracer_contract():
+    # the benchmark tracer wraps package functions by name and counts the
+    # sampler's draws from its size argument; every name it patches must exist
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    bench_tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_tracer)
+    import relayasym.analysis  # noqa: F401
+    import relayasym.cli  # noqa: F401
+
+    tracer = bench_tracer.Tracer()
+    try:
+        tracer.install(relayasym)
+        # one worker: the tracer's counters take no lock
+        estimate_outage(rayleigh_chain(2), 10.0, 5000, seed=3, block_size=2048, n_workers=1)
+    finally:
+        tracer.uninstall()
+    assert tracer.calls("channels.sample") == 6
+    assert tracer.draws("channels.sample") == 10_000
 
 
 # Outage counts at gamma_bar = 10 dB, seed 20260418, in blocks of 2^18 with a
@@ -384,13 +406,13 @@ def test_two_hop_closed_form_accepts_reducible_families():
 
 
 def test_random_stream_replay_and_independence():
-    a = RandomStream(seed=5, stream_index=3)
-    b = RandomStream(seed=5, stream_index=3)
+    a = philox(seed=5, stream_index=3)
+    b = philox(seed=5, stream_index=3)
     np.testing.assert_array_equal(
-        a.generator.random(16), b.generator.random(16)
+        a.random(16), b.random(16)
     )
-    c = RandomStream(seed=5, stream_index=4)
+    c = philox(seed=5, stream_index=4)
     assert not np.array_equal(
-        RandomStream(seed=5, stream_index=3).generator.random(16),
-        c.generator.random(16),
+        philox(seed=5, stream_index=3).random(16),
+        c.random(16),
     )
