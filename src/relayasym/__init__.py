@@ -8,7 +8,7 @@ expansions, and validates them against Monte Carlo simulation and exact
 quadrature oracles.
 """
 
-from .channels import FadingModel, HopConfig, PoleSpec, validate_model
+from .channels import FadingModel, HopConfig, validate_model
 from .errors import (
     ConditioningWarning,
     IllConditionedContourError,
@@ -42,7 +42,6 @@ __all__ = [
     "NetworkConfig",
     "OutageEstimate",
     "PoleAtArgumentError",
-    "PoleSpec",
     "QuadratureConvergenceError",
     "SweepRow",
     "TruncationWarning",

@@ -32,7 +32,7 @@ SUPPORTED_FAMILIES = (NAKAGAMI, WEIBULL, RICIAN, HOYT)
 POLE_MERGE_TOL = 1e-9
 
 #: Most moment poles one window may hold.  Windows that build hold a few
-#: hundred at most; a wider or finer one would walk the lattice for minutes.
+#: hundred at most; a wider or finer one would take minutes of residue work.
 MAX_LATTICE_POLES = 2_000
 
 #: Hoyt axial ratios below this would need more than 10,000 polar nodes
@@ -79,14 +79,6 @@ class HopConfig:
     rho: float = 1.0
 
 
-@dataclass(frozen=True)
-class PoleSpec:
-    """A pole location with integer order; the currency of the residue engine."""
-
-    location: complex
-    order: int
-
-
 def validate_model(model: FadingModel) -> None:
     """Check family and parameter ranges; raise ModelValidationError if bad."""
     if model.variant not in SUPPORTED_FAMILIES:
@@ -114,20 +106,22 @@ def validate_model(model: FadingModel) -> None:
             )
 
 
-def _rightmost_pole(model: FadingModel) -> float:
-    if model.variant in (NAKAGAMI, WEIBULL):
-        return -model.shape
-    return -1.0
+def lattice(model: FadingModel) -> tuple[float, float]:
+    """(r0, step): the moment's poles are r0 - step*j for j = 0, 1, 2, ...
 
-
-def _pole_spacing(model: FadingModel) -> float:
-    return model.shape if model.variant == WEIBULL else 1.0
+    They are the simple poles of Gamma(s + m) (Nakagami), Gamma((s + m)/m)
+    (Weibull) and Gamma(s + 1) (Rician, Hoyt), on the real axis.
+    """
+    if model.variant == NAKAGAMI:
+        return -model.shape, 1.0
+    if model.variant == WEIBULL:
+        return -model.shape, model.shape
+    return -1.0, 1.0
 
 
 def _lattice_distance(model: FadingModel, s: np.ndarray) -> np.ndarray:
     """Distance from each element of s to the nearest pole of the model's moment function."""
-    r0 = _rightmost_pole(model)
-    step = _pole_spacing(model)
+    r0, step = lattice(model)
     j = np.maximum(0.0, np.round((r0 - s.real) / step))
     return np.abs(s - (r0 - step * j))
 
@@ -228,26 +222,28 @@ def log_moment(model: FadingModel, s):
     )
 
 
-def mellin_poles(model: FadingModel, re_min: float) -> list[PoleSpec]:
-    """All poles of s -> E[X^s] with Re(s) >= re_min, rightmost first.
+def mellin_poles(model: FadingModel, re_min: float) -> list[float]:
+    """The poles r0 - step*j of s -> E[X^s] that are >= re_min, rightmost first.
 
-    Each entry has order 1: gamma poles are simple and the hypergeometric
-    factors are entire in s.  Order aggregation across hops happens in the
-    mellin module.  A window of more than MAX_LATTICE_POLES points raises
-    ValueError before any is listed.
+    Listed from the :func:`lattice` formula that :func:`log_moment`'s pole
+    check uses, as Python floats.  Each is simple: the hypergeometric factors
+    are entire in s, and orders add up across hops in the mellin module.  A
+    window of more than MAX_LATTICE_POLES poles raises ValueError before any
+    is listed.
     """
-    r0 = _rightmost_pole(model)
-    step = _pole_spacing(model)
-    if (r0 - re_min) / step >= MAX_LATTICE_POLES:
+    r0, step = lattice(model)
+    count = (r0 - re_min) / step
+    if count >= MAX_LATTICE_POLES:
         raise ValueError(
             f"Re(s) >= {re_min:g} holds more than {MAX_LATTICE_POLES} poles of the "
             f"{model.variant} moment (spacing {step:g})"
         )
-    out: list[PoleSpec] = []
-    loc = r0
-    while loc >= re_min:
-        out.append(PoleSpec(complex(loc), 1))
-        loc -= step
+    out = []
+    # one candidate past the floor, so rounding in the quotient drops no pole
+    for j in range(math.floor(count) + 2):
+        loc = float(r0 - step * j)
+        if loc >= re_min:
+            out.append(loc)
     return out
 
 

@@ -60,8 +60,8 @@ def _schema_error(msg: str) -> ConfigSchemaError:
 
 
 def _number(value, where: str) -> float:
-    """A JSON number as a float; ConfigSchemaError if it is none or overflows."""
-    if not isinstance(value, (int, float)):
+    """A JSON number (true/false are not) as a float; ConfigSchemaError if none or it overflows."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise _schema_error(f"{where} must be a number")
     try:
         return float(value)
@@ -176,11 +176,11 @@ def _require_db_range(args: argparse.Namespace) -> tuple[float, float, float]:
 def _cmd_poles(network: NetworkConfig, args: argparse.Namespace) -> None:
     s0, k = mellin.leading_pole(network)
     re_min = args.re_min if args.re_min is not None else s0 - mellin.DEFAULT_RE_MIN_OFFSET
-    poles = mellin.enumerate_poles(network, (0,) * network.n_hops, 0, re_min)
+    poles = mellin.enumerate_poles(network, (0,) * network.n_hops, re_min)
     print(f"# poles of the lambda=0 integrand with Re(s) >= {re_min:g}")
     print("location order")
-    for p in poles:
-        print(f"{p.location.real:g} {p.order}")
+    for loc, order in poles:
+        print(f"{loc:g} {order}")
     print(f"s0 = {s0:g}")
     print(f"k = {k}")
     print(f"d = {-s0:g}")

@@ -9,16 +9,18 @@ contributes a polynomial in ln(gamma_bar) of degree k-1 times a power of
 gamma_bar, and those polynomials are what :class:`AsymptoticExpansion`
 stores.
 
-One routine, ``_residues``, takes one composition term to its residues: it
-merges the term's poles in the window (:func:`enumerate_poles`), sizes each
+One routine, ``_residues``, takes one composition term, given by its shifts
+(lambda_1 = 0, ..., lambda_N), to its residues: it merges the term's real
+(location, order) poles in the window (:func:`enumerate_poles`), sizes each
 contour by the nearest other pole, and extracts the Laurent data by
 :func:`residue_at`.  :func:`leading_term` takes the first residue of the
 lambda_N = 0 term; :func:`build_expansion` sums the residues of every term
 by exponent, and its truncation check compares the sum of all orders with
-the sum of the orders below lambda_max.  The pole lattices are walked by
-:func:`relayasym.channels.mellin_poles`, which refuses a window of more
-than ``MAX_LATTICE_POLES`` points.  The expansion is a series in
-1/gamma_bar and ln(gamma_bar), so it is evaluated only for gamma_bar > 1.
+the sum of the orders below lambda_max.  Each hop's poles are the floats
+r0 - step*j that :func:`relayasym.channels.mellin_poles` lists; it refuses
+a window of more than ``MAX_LATTICE_POLES`` poles.  The expansion is a
+series in 1/gamma_bar and ln(gamma_bar), so it is evaluated only for
+gamma_bar > 1.
 """
 
 from __future__ import annotations
@@ -33,8 +35,7 @@ import numpy as np
 from .channels import (
     POLE_MERGE_TOL,
     HopConfig,
-    PoleSpec,
-    _rightmost_pole,
+    lattice,
     log_moment,
     mellin_poles,
     validate_model,
@@ -143,19 +144,19 @@ def composition_term(network: NetworkConfig, ell: tuple[int, ...]) -> tuple[tupl
     return tuple(itertools.accumulate(ell, initial=0)), coeff
 
 
-def _pole_contributions(network, shifts, lambda_total, re_min):
+def _pole_contributions(network, shifts, re_min):
     """Raw (location, order-delta) pairs for one term's integrand, unmerged.
 
-    The prefactor gamma(s+lambda_N)/gamma(s+1) adds a pole at the origin for
-    lambda_N = 0 and zeros at -1, ..., -(lambda_N - 1) otherwise.
+    The prefactor gamma(s+lambda_N)/gamma(s+1) (lambda_N = shifts[-1]) adds a
+    pole at the origin for lambda_N = 0 and zeros at -1, ..., -(lambda_N - 1).
     """
+    lambda_n = shifts[-1]
     contribs: list[tuple[float, int]] = []
     for hop, lam_j in zip(network.hops, shifts):
-        for p in mellin_poles(hop.model, re_min + lam_j):
-            contribs.append((p.location.real - lam_j, 1))
-    if lambda_total == 0 and re_min <= 0.0:
+        contribs += [(loc - lam_j, 1) for loc in mellin_poles(hop.model, re_min + lam_j)]
+    if lambda_n == 0 and re_min <= 0.0:
         contribs.append((0.0, 1))
-    contribs += [(-float(i), -1) for i in range(1, lambda_total) if -i >= re_min]
+    contribs += [(-float(i), -1) for i in range(1, lambda_n) if -i >= re_min]
     return contribs
 
 
@@ -180,19 +181,19 @@ def _merge_contributions(contribs) -> list[tuple[float, int]]:
     return merged
 
 
-def enumerate_poles(network: NetworkConfig, shifts, lambda_total: int, re_min: float) -> list[PoleSpec]:
-    """Merged poles of one composition term's integrand in Re(s) >= re_min.
+def enumerate_poles(network: NetworkConfig, shifts, re_min: float) -> list[tuple[float, int]]:
+    """Merged (location, order) poles of one composition term's integrand in s >= re_min.
 
-    Combines the shifted per-hop moment lattices with the poles/zeros of the
-    gamma(s+lambda_N)/gamma(s+1) prefactor; entries whose net order drops to
-    zero or below (a prefactor zero cancelling a moment pole) are removed.
-    Sorted by descending real part.
+    Combines the per-hop moment lattices, shifted left by ``shifts``, with
+    the poles/zeros of the gamma(s+lambda_N)/gamma(s+1) prefactor, where
+    lambda_N = shifts[-1]; entries whose net order drops to zero or below (a
+    prefactor zero cancelling a moment pole) are removed.  Rightmost first.
     """
-    merged = _merge_contributions(_pole_contributions(network, shifts, lambda_total, re_min))
-    return [PoleSpec(complex(loc), order) for loc, order in sorted(merged, reverse=True) if order > 0]
+    merged = _merge_contributions(_pole_contributions(network, shifts, re_min))
+    return [(loc, order) for loc, order in sorted(merged, reverse=True) if order > 0]
 
 
-def _term_integrand(network: NetworkConfig, shifts, lambda_total: int, rings: dict):
+def _term_integrand(network: NetworkConfig, shifts, rings: dict):
     """The residue-engine integrand of one composition term, minus xi^-s.
 
     Takes a whole array of nodes: one log_moment ring per hop, times the
@@ -204,6 +205,7 @@ def _term_integrand(network: NetworkConfig, shifts, lambda_total: int, rings: di
     would return.
     """
     models = [hop.model for hop in network.hops]
+    lambda_n = shifts[-1]
 
     def log_ring(model, nodes: np.ndarray) -> np.ndarray:
         key = (model, nodes.tobytes())
@@ -213,9 +215,9 @@ def _term_integrand(network: NetworkConfig, shifts, lambda_total: int, rings: di
 
     def f(s: np.ndarray) -> np.ndarray:
         acc = sum(log_ring(model, s + lam_j) for model, lam_j in zip(models, shifts))
-        if lambda_total == 0:
+        if lambda_n == 0:
             return (1.0 / s) * np.exp(acc)
-        return math.prod((s + i for i in range(1, lambda_total)), start=1.0 + 0.0j) * np.exp(acc)
+        return math.prod((s + i for i in range(1, lambda_n)), start=1.0 + 0.0j) * np.exp(acc)
 
     return f
 
@@ -247,19 +249,17 @@ def _extract_derivatives(ring, fv, k: int, s0: float) -> tuple[list[float], floa
     return out, float(hi)
 
 
-def residue_at(f, pole: PoleSpec, context: float) -> list[float]:
-    """Laurent data of f at a pole, with the order reduced where it is spurious.
+def residue_at(f, s0: float, k: int, context: float) -> list[float]:
+    """Laurent data of f at a real pole s0 of order k, reduced where spurious.
 
     Returns [H(s0), H'(s0), ..., H^(k-1)(s0)] for H(s) = (s-s0)^k f(s),
     computed by trapezoidal quadrature on a circle of radius
     min(0.4*context, 0.5); spectrally accurate and free of the cancellation
-    that high-order finite differences would suffer.  k starts at
-    pole.order and drops while |H(s0)| is numerically zero (a hypergeometric
-    zero cancelling a gamma pole), so len(result) is the effective order.
-    f must take the whole array of contour nodes in one call.
+    that high-order finite differences would suffer.  k drops while |H(s0)|
+    is numerically zero (a hypergeometric zero cancelling a gamma pole), so
+    len(result) is the effective order.  f must take the whole array of
+    contour nodes in one call.
     """
-    k = pole.order
-    s0 = pole.location.real
     radius = min(RADIUS_SAFETY * context, MAX_CONTOUR_RADIUS)
     ring = radius * np.exp(2j * math.pi * np.arange(CONTOUR_NODES) / CONTOUR_NODES)
     fv = f(s0 + ring)
@@ -291,7 +291,7 @@ def _rebase_coefficients(multiplier: float, derivs, s0: float, a_scale: float):
 
 
 def _rightmost_network_pole(network: NetworkConfig) -> float:
-    return max(_rightmost_pole(hop.model) for hop in network.hops)
+    return max(lattice(hop.model)[0] for hop in network.hops)
 
 
 def leading_pole(network: NetworkConfig) -> tuple[float, int]:
@@ -300,12 +300,11 @@ def leading_pole(network: NetworkConfig) -> tuple[float, int]:
     Pure pole arithmetic, no contour work; the diversity order is -s0.
     """
     s0 = _rightmost_network_pole(network)
-    poles = enumerate_poles(network, (0,) * network.n_hops, 0, s0 - 1.0)
-    entry = next(p for p in poles if abs(p.location.real - s0) < POLE_MERGE_TOL)
-    return s0, entry.order
+    poles = enumerate_poles(network, (0,) * network.n_hops, s0 - 1.0)
+    return s0, next(order for loc, order in poles if abs(loc - s0) < POLE_MERGE_TOL)
 
 
-def _residues(network: NetworkConfig, shifts, lambda_total: int, re_min: float, rings: dict):
+def _residues(network: NetworkConfig, shifts, re_min: float, rings: dict):
     """Yield (location, Laurent data) at each pole of one composition term's integrand.
 
     Poles with Re(s) >= re_min, rightmost first, as :func:`residue_at`
@@ -314,15 +313,14 @@ def _residues(network: NetworkConfig, shifts, lambda_total: int, re_min: float, 
     contour's radius is set by the nearest other pole, looked for down to
     re_min - 2.
     """
-    poles = enumerate_poles(network, shifts, lambda_total, re_min)
-    wide = [loc for loc, _ in _pole_contributions(network, shifts, lambda_total, re_min - 2.0)]
-    f = _term_integrand(network, shifts, lambda_total, rings)
-    for pole in poles:
-        loc = pole.location.real
-        if lambda_total == 0 and abs(loc) < POLE_MERGE_TOL:
+    poles = enumerate_poles(network, shifts, re_min)
+    wide = [loc for loc, _ in _pole_contributions(network, shifts, re_min - 2.0)]
+    f = _term_integrand(network, shifts, rings)
+    for loc, order in poles:
+        if shifts[-1] == 0 and abs(loc) < POLE_MERGE_TOL:
             continue
         context = min((abs(loc - o) for o in wide if abs(loc - o) >= POLE_MERGE_TOL), default=math.inf)
-        yield loc, residue_at(f, pole, context)
+        yield loc, residue_at(f, loc, order, context)
 
 
 def leading_term(network: NetworkConfig):
@@ -334,7 +332,7 @@ def leading_term(network: NetworkConfig):
     order is -s0.
     """
     s0 = _rightmost_network_pole(network)
-    loc, derivs = next(_residues(network, (0,) * network.n_hops, 0, s0 - 0.5, {}))
+    loc, derivs = next(_residues(network, (0,) * network.n_hops, s0 - 0.5, {}))
     a_scale = network.gamma_t * network.hops[-1].rho
     coeffs = _rebase_coefficients(-1.0, derivs, loc, a_scale)
     return AsymptoteTerm(loc, tuple(coeffs)), loc, len(derivs)
@@ -393,7 +391,7 @@ def build_expansion(
     for lam in range(lambda_max + 1):
         for ell in weak_compositions(lam, network.n_hops - 1):
             shifts, coeff = composition_term(network, ell)
-            for loc, derivs in _residues(network, shifts, lam, re_min, rings):
+            for loc, derivs in _residues(network, shifts, re_min, rings):
                 entries.append((lam, loc, _rebase_coefficients(-coeff, derivs, loc, a_scale)))
     expansion = AsymptoticExpansion(_collect(entries), lambda_max, re_min, network)
 

@@ -6,7 +6,7 @@ import pytest
 from scipy import integrate
 
 from relayasym import channels
-from relayasym.channels import FadingModel, PoleSpec
+from relayasym.channels import FadingModel
 from relayasym.errors import ModelValidationError, PoleAtArgumentError
 from relayasym.montecarlo import philox
 
@@ -195,13 +195,13 @@ def test_log_moment_array_matches_scalar_calls():
     models = (F.nakagami(1.8), F.weibull(2.2), F.rician(3.0), F.hoyt(0.5), F.hoyt(0.25))
     for model in models:
         for pole in channels.mellin_poles(model, -4.0):
-            ring = pole.location + 0.4 * np.exp(1j * phi)
+            ring = pole + 0.4 * np.exp(1j * phi)
             got = channels.log_moment(model, ring)
             assert got.shape == ring.shape
             want = np.array([channels.log_moment(model, s) for s in ring])
             np.testing.assert_allclose(np.exp(got), np.exp(want), rtol=1e-14, err_msg=str(model))
             # one node within the merge tolerance of the pole poisons the whole ring
-            ring[5] = pole.location + 0.5 * channels.POLE_MERGE_TOL
+            ring[5] = pole + 0.5 * channels.POLE_MERGE_TOL
             with pytest.raises(PoleAtArgumentError):
                 channels.log_moment(model, ring)
 
@@ -239,12 +239,19 @@ def test_hoyt_log_moment_against_mpmath_down_to_q_floor():
 
 
 def test_mellin_poles_examples():
-    naka = channels.mellin_poles(F.nakagami(1.8), -4.0)
-    assert [(p.location.real, p.order) for p in naka] == [(-1.8, 1), (-2.8, 1), (-3.8, 1)]
-    wei = channels.mellin_poles(F.weibull(1.8), -4.0)
-    assert [(p.location.real, p.order) for p in wei] == [(-1.8, 1), (-3.6, 1)]
-    ric = channels.mellin_poles(F.rician(3.0), -2.5)
-    assert [(p.location.real, p.order) for p in ric] == [(-1.0, 1), (-2.0, 1)]
+    assert channels.mellin_poles(F.nakagami(1.8), -4.0) == [-1.8, -2.8, -3.8]
+    assert channels.mellin_poles(F.weibull(1.8), -4.0) == [-1.8, -3.6]
+    assert channels.mellin_poles(F.rician(3.0), -2.5) == [-1.0, -2.0]
+    # a non-dyadic lattice is listed by the formula r0 - step*j, not by
+    # repeated subtraction (which reaches -2.1 where the formula gives
+    # -2.0999999999999996), and log_moment's pole check sees every entry
+    model = F.weibull(0.3)
+    poles = channels.mellin_poles(model, -3.0)
+    assert poles == [-0.3 - 0.3 * j for j in range(10)]
+    assert all(type(loc) is float for loc in poles)
+    for loc in poles:
+        with pytest.raises(PoleAtArgumentError):
+            channels.log_moment(model, loc)
 
 
 def test_mellin_poles_window_bound():
@@ -260,7 +267,7 @@ def test_mellin_poles_window_bound():
 def test_pole_blowup():
     for model in (F.nakagami(1.8), F.weibull(1.8), F.rician(3.0), F.hoyt(0.5)):
         for pole in channels.mellin_poles(model, -3.0):
-            value = np.exp(channels.log_moment(model, pole.location + 1e-7))
+            value = np.exp(channels.log_moment(model, pole + 1e-7))
             assert abs(value) > 1e6, (model, pole)
 
 
@@ -333,8 +340,3 @@ def test_sample_frozen_draws(model):
     for x in (fresh, into):
         assert [float(x[i]) for i in (0, 16383, 16384, 70000)] == values
         assert float(x.sum()) == total
-
-
-def test_pole_spec_fields():
-    p = PoleSpec(complex(-1.8), 2)
-    assert p.location == -1.8 + 0j and p.order == 2

@@ -95,6 +95,11 @@ def test_parse_rejects_syntax_and_schema():
         parse_config(json.dumps({"gamma_t": "abc", "hops": [{"fading": "nakagami", "m": 1}]}))
     with pytest.raises(ConfigSchemaError):
         parse_config(json.dumps({"gamma_t_db": [1], "hops": [{"fading": "nakagami", "m": 1}]}))
+    # JSON booleans are not numbers, though Python's bool is an int
+    with pytest.raises(ConfigSchemaError, match=r"hops\[0\]\.m must be a number"):
+        parse_config(json.dumps({"hops": [{"fading": "nakagami", "m": True}]}))
+    with pytest.raises(ConfigSchemaError, match="gamma_t must be a number"):
+        parse_config(json.dumps({"gamma_t": True, "hops": [{"fading": "nakagami", "m": 1}]}))
     # numbers that overflow a float
     with pytest.raises(ConfigSchemaError):
         parse_config(json.dumps({"gamma_t_db": 4000, "hops": [{"fading": "nakagami", "m": 1}]}))
@@ -185,6 +190,10 @@ def test_poles_command_ric3(tmp_path, capsys):
     cfg = _write(tmp_path, "ric3.json", RIC3_TEXT)
     assert cli.main(["poles", "--config", cfg]) == EXIT_OK
     out = capsys.readouterr().out
+    lines = out.splitlines()
+    # the whole table, so any drift in how a location or order prints shows
+    table = lines.index("location order")
+    assert lines[table:table + 4] == ["location order", "0 1", "-1 3", "-2 3"]
     assert "s0 = -1" in out
     assert "k = 3" in out
     assert "d = 1" in out
@@ -310,6 +319,10 @@ def test_exit_codes(tmp_path, capsys):
 
     assert cli.main(["poles", "--config", str(tmp_path / "missing.json")]) == EXIT_IO
 
+    # a JSON boolean where a number belongs
+    boolean = {"gamma_t_db": 0.0, "hops": [{"fading": "nakagami", "m": True, "rho": True}]}
+    assert cli.main(["poles", "--config", _write(tmp_path, "bool.json", json.dumps(boolean))]) == EXIT_CONFIG
+
     # config text that is not UTF-8
     not_utf8 = tmp_path / "not_utf8.json"
     not_utf8.write_bytes(b"\xff" + RAY1_TEXT.encode())
@@ -330,7 +343,7 @@ def test_exit_codes(tmp_path, capsys):
     assert cli.main(["simulate", "--config", ray, "--db-from", "4000"]) == EXIT_CONFIG
     assert cli.main(["diversity", "--config", ray, "--db-from", "0", "--db-to", "10", "--db-step", "1e-9"]) == EXIT_CONFIG
     assert cli.main(["sweep", "--config", ray, "--db-from", "0", "--db-to", "inf", "--samples", "0"]) == EXIT_CONFIG
-    # pole windows too wide or too fine to walk: a million poles, and 150,000
+    # pole windows too wide or too fine to list: a million poles, and 150,000
     # poles of a Weibull m = 1e-5 moment in the default window
     started = time.perf_counter()
     assert cli.main(["asymptote", "--config", ray, "--re-min=-1e6"]) == EXIT_CONFIG

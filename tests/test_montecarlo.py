@@ -131,7 +131,8 @@ def test_estimate_one_core_runs_inline(monkeypatch):
 
 def test_bench_tracer_contract():
     # the benchmark tracer wraps package functions by name and counts the
-    # sampler's draws from its size argument; every name it patches must exist
+    # sampler's draws from its size argument; every name it patches must
+    # exist, and the analytic path must reach its wrapped pole and moment calls
     path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("bench_tracer", path)
     bench_tracer = importlib.util.module_from_spec(spec)
@@ -144,10 +145,13 @@ def test_bench_tracer_contract():
         tracer.install(relayasym)
         # one worker: the tracer's counters take no lock
         estimate_outage(rayleigh_chain(2), 10.0, 5000, seed=3, block_size=2048, n_workers=1)
+        mellin.build_expansion(rayleigh_chain(2), 2)
     finally:
         tracer.uninstall()
     assert tracer.calls("channels.sample") == 6
     assert tracer.draws("channels.sample") == 10_000
+    assert tracer.calls("mellin.enumerate_poles") > 0
+    assert tracer.calls("channels.log_moment") > 0
 
 
 # Outage counts at gamma_bar = 10 dB, seed 20260418, in blocks of 2^18 with a
