@@ -229,8 +229,10 @@ def mellin_poles(model: FadingModel, re_min: float) -> list[float]:
     check uses, as Python floats.  Each is simple: the hypergeometric factors
     are entire in s, and orders add up across hops in the mellin module.  A
     window of more than MAX_LATTICE_POLES poles raises ValueError before any
-    is listed.
+    is listed, as does a re_min that is not finite.
     """
+    if not math.isfinite(re_min):
+        raise ValueError(f"re_min must be finite, got {re_min}")
     r0, step = lattice(model)
     count = (r0 - re_min) / step
     if count >= MAX_LATTICE_POLES:

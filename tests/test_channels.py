@@ -264,6 +264,12 @@ def test_mellin_poles_window_bound():
             channels.mellin_poles(model, re_min)
 
 
+@pytest.mark.parametrize("re_min", [math.nan, math.inf, -math.inf])
+def test_mellin_poles_rejects_non_finite_re_min(re_min):
+    with pytest.raises(ValueError, match="re_min"):
+        channels.mellin_poles(F.nakagami(1.0), re_min)
+
+
 def test_pole_blowup():
     for model in (F.nakagami(1.8), F.weibull(1.8), F.rician(3.0), F.hoyt(0.5)):
         for pole in channels.mellin_poles(model, -3.0):

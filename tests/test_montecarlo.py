@@ -314,6 +314,42 @@ def test_oracle_value_settled_under_panel_halving(monkeypatch):
     np.testing.assert_allclose(coarse, fine, rtol=1e-12, atol=0.0)
 
 
+def _full_kernel_oracle(net, gamma_bar):
+    """The 3-hop oracle with its middle-hop kernel evaluated at all G x G points."""
+    t, w = montecarlo._quad()
+    x, es = np.exp(t), np.exp(-t)
+    first, mid, last = net.hops
+    wg = w * x * channels.pdf(last.model, x)
+    shift = 1.0 + (last.rho / mid.rho) * es
+    g = np.empty_like(t)
+    for lo in range(0, t.size, 64):
+        y = np.outer(x[lo:lo + 64], shift)
+        g[lo:lo + 64] = (y * channels.pdf(mid.model, y)) @ wg
+    xi1, xi2 = (float(xi) for xi in net.xi(gamma_bar)[:2])
+    return float(channels.cdf(first.model, xi1 + xi2 * es) @ (w * g))
+
+
+@pytest.mark.parametrize("rhos", [(1.0, 1.0, 1.0), (1.0, 0.5, 2.0)])
+def test_oracle_kernel_evaluates_only_inside_window(monkeypatch, rhos):
+    # kernel points with X_n > e^T_HI are left out; P(X_n > e^T_HI) in the
+    # stated error already counts their mass, and the value does not move
+    net = make_network([hop.model for hop in REFERENCE_CONFIGS["ric3"].hops], rhos=rhos)
+    n_kernel = 0
+
+    def counting_pdf(model, x):
+        nonlocal n_kernel
+        x = np.asarray(x)
+        if x.ndim == 2:
+            n_kernel += x.size
+        return channels.pdf(model, x)
+
+    monkeypatch.setattr(montecarlo, "pdf", counting_pdf)
+    value = oracle_outage(net, 1e4)
+    grid = montecarlo._quad()[0].size
+    assert 0 < n_kernel <= 0.65 * grid**2
+    assert value == pytest.approx(_full_kernel_oracle(net, 1e4), rel=1e-15, abs=0.0)
+
+
 def test_oracle_raises_when_window_leaves_out_mass():
     # about 10% of a Nakagami m = 0.05 gain lies below e^-45
     net = make_network([F.nakagami(2.0), F.nakagami(0.05), F.nakagami(2.0)])
