@@ -27,7 +27,7 @@ from .mellin import (
     leading_term,
 )
 from .montecarlo import OutageEstimate, estimate_outage, oracle_outage, philox
-from .analysis import SweepRow, empirical_slope, finite_diversity, sweep_compare
+from .analysis import SweepRow, finite_diversity, sweep_compare
 
 __version__ = "0.1.0"
 
@@ -46,7 +46,6 @@ __all__ = [
     "SweepRow",
     "TruncationWarning",
     "build_expansion",
-    "empirical_slope",
     "estimate_outage",
     "evaluate_expansion",
     "finite_diversity",

@@ -58,29 +58,6 @@ def log_log_diversity(gamma_bar: float, p: float) -> float:
     return -math.log(p) / math.log(gamma_bar)
 
 
-def empirical_slope(points) -> list[tuple[float, float]]:
-    """Adjacent-pair log-log slopes of an outage curve.
-
-    points: iterable of (gamma_bar, p) with gamma_bar strictly increasing and
-    p > 0.  Returns one (geometric midpoint, -dln p/dln gamma_bar) pair per
-    adjacent input pair.
-    """
-    pts = [(float(g), float(p)) for g, p in points]
-    if len(pts) < 2:
-        raise ValueError("need at least two points")
-    for (g1, p1), (g2, p2) in zip(pts, pts[1:]):
-        if g2 <= g1:
-            raise ValueError("gamma_bar values must be strictly increasing")
-    for g, p in pts:
-        if p <= 0.0:
-            raise ValueError(f"nonpositive probability {p} at gamma_bar={g}")
-    out = []
-    for (g1, p1), (g2, p2) in zip(pts, pts[1:]):
-        slope = -(math.log(p2) - math.log(p1)) / (math.log(g2) - math.log(g1))
-        out.append((math.sqrt(g1 * g2), slope))
-    return out
-
-
 #: Most points a dB grid may have; a wider or finer grid is an input error.
 MAX_GRID_POINTS = 10_000
 

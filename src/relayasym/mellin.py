@@ -410,12 +410,12 @@ def build_expansion(
 
 
 def _term_sum(terms: tuple[AsymptoteTerm, ...], gamma_bar: float) -> float:
-    """Sum of the terms at gamma_bar > 1, unclamped."""
-    if gamma_bar <= 1.0:
-        raise ValueError(f"gamma_bar must exceed 1 (ln gamma_bar > 0), got {gamma_bar}")
+    """Sum of the terms at finite gamma_bar > 1, unclamped."""
+    if not 1.0 < gamma_bar < math.inf:
+        raise ValueError(f"gamma_bar must be finite and exceed 1 (ln gamma_bar > 0), got {gamma_bar}")
     return sum((term.evaluate(gamma_bar) for term in terms), 0.0)
 
 
 def evaluate_expansion(expansion: AsymptoticExpansion, gamma_bar: float) -> float:
-    """Evaluate the expansion at gamma_bar > 1, clamped to [0, 1]."""
+    """Evaluate the expansion at finite gamma_bar > 1, clamped to [0, 1]."""
     return min(max(_term_sum(expansion.terms, gamma_bar), 0.0), 1.0)

@@ -63,6 +63,15 @@ def clopper_pearson(n_successes: int, n_trials: int):
     return low, high
 
 
+def _finite_positive(gamma_bar) -> np.ndarray:
+    """gamma_bar as a float array; ValueError unless every element is finite and > 0."""
+    gamma_bar = np.asarray(gamma_bar, dtype=float)
+    bad = ~((gamma_bar > 0.0) & (gamma_bar < math.inf))
+    if np.any(bad):
+        raise ValueError(f"gamma_bar must be finite and > 0, got {np.extract(bad, gamma_bar)[0]}")
+    return gamma_bar
+
+
 def _count_block_outages(network: NetworkConfig, gamma_bar: float, seed: int,
                          stream_index: int, size: int, buffers: np.ndarray) -> int:
     """Outages among one block of ``size`` chains, drawn from substream (seed, stream_index).
@@ -103,7 +112,9 @@ def estimate_outage(
     Samples are partitioned into blocks of ``block_size``; block b draws from
     the Philox substream (seed, stream_base + b).  The result depends only on
     (seed, n_samples, block_size, stream_base), never on the worker count.
+    gamma_bar must be finite and > 0.
     """
+    _finite_positive(gamma_bar)
     n_samples = int(n_samples)
     if n_samples < 1000:
         raise ValueError(f"n_samples must be at least 1000, got {n_samples}")
@@ -141,11 +152,13 @@ T_LO, T_HI = -45.0, 6.0
 PANEL_WIDTH = 0.5
 GL_NODES = 16
 
-#: Rows per block of a middle hop's kernel: at most 32 x 1632 doubles, 0.4 MB,
-#: so the pdf temporaries stay small where the whole kernel would be 21 MB.
-#: Each block is evaluated only on the columns where X_n <= e^T_HI for its
-#: first row, about 0.62 G^2 points a hop for r_n = 1; every point left out
-#: has X_n > e^T_HI, mass the stated error counts as P(X_n > e^T_HI).
+#: Rows per block of a hop's kernel: ROW_BLOCK * G // columns, so a block
+#: holds at most ROW_BLOCK x G points (32 x 1632 doubles, 0.4 MB) and the pdf
+#: temporaries stay small where a whole middle-hop kernel would be 21 MB; hop
+#: N's one-column kernel is one block.  Each block is evaluated only on the
+#: columns where X_n <= e^T_HI for its first row, about 0.62 G^2 points a
+#: middle hop for r_n = 1; every point left out has X_n > e^T_HI, mass the
+#: stated error counts as P(X_n > e^T_HI).
 ROW_BLOCK = 32
 
 #: Largest gain mass the window may leave out, relative to the result.
@@ -160,57 +173,65 @@ def _quad():
     return (mid + half * x).ravel(), np.tile(half * w, mid.size)
 
 
+def _threshold_table(network: NetworkConfig):
+    """The gamma_bar-independent stage of the oracle: (v, wg, omitted).
+
+    With U_{N+1} = 0 and U_n = (1 + r_n U_{n+1})/X_n, r_n = rho_{n+1}/rho_n,
+    the chain is in outage when X_1 <= xi_1 V, V = 1 + r_1 U_2, so the outage
+    is sum_j wg_j F_1(xi_1 v_j) over the nodes v_j of V and their weights
+    wg_j.  The recursion starts from the unit mass at U_{N+1} = 0, that is
+    v = [1.0] with weight [1.0], and runs one Nystrom step per hop
+    n = N, ..., 2: the density of s = ln U_n at the reflected nodes
+    s_i = -t_i is g_n(s_i) = sum_j wg_j x pdf_n(x), x = v_j e^{t_i}, and the
+    next nodes are v = 1 + r_{n-1} e^{s_i} with weights wg = w g_n.  For
+    N = 1 no step runs and the table is the unit mass at v = 1.  ``omitted`` is the mass
+    the log-gain window leaves out, per hop an outage mass from cdf:
+    P(X_n > e^T_HI), which also bounds the kernel points ROW_BLOCK leaves
+    out, plus sum_j wg_j F_n(v_j e^T_LO).
+    """
+    v, wg, omitted = np.ones(1), np.ones(1), 0.0
+    hops = network.hops
+    t, w = _quad()
+    x, es = np.exp(t), np.exp(-t)  # e^s at the reflected nodes s = -t
+    for n in range(len(hops) - 1, 0, -1):
+        model = hops[n].model
+        neg_log_v = -np.log(v)  # ascending, as v falls with j
+        rows = ROW_BLOCK * t.size // v.size
+        g = np.empty_like(t)
+        for lo in range(0, t.size, rows):
+            # ln x = t_i + ln v_j rises with i and falls with j, so the
+            # block's first row fixes the first column with ln x <= T_HI
+            j0 = np.searchsorted(neg_log_v, t[lo] - T_HI)
+            y = np.outer(x[lo:lo + rows], v[j0:])
+            g[lo:lo + rows] = (y * pdf(model, y)) @ wg[j0:]
+        # The upper tail is 1 - F only to ~1e-16 absolute, far below any
+        # bound it meets while the outage exceeds 1e-10.
+        omitted += (1.0 - float(cdf(model, math.exp(T_HI)))
+                    + float(wg @ cdf(model, v * math.exp(T_LO))))
+        v, wg = 1.0 + (hops[n].rho / hops[n - 1].rho) * es, w * g
+    return v, wg, omitted
+
+
 def oracle_outage(network: NetworkConfig, gamma_bar):
     """Exact outage probability of an N-hop chain on a fixed log-gain grid.
 
-    Elementwise on an array of gamma_bar (scalar in, scalar out).  With
-    U_N = 1/X_N and U_n = (1 + r_n U_{n+1})/X_n, r_n = rho_{n+1}/rho_n, the
-    chain is in outage when X1 <= xi1 + xi2 U_2, so hop 1 integrates out in
-    closed form and the outage is the outage mass E[F1(xi1 + xi2 U_2)], with
-    no 1 - survival step.  The density g_n of s = ln U_n is tabulated at the
-    nodes of composite 16-point Gauss-Legendre panels on [-T_HI, -T_LO], the
-    log-gain window [T_LO, T_HI] reflected: g_N(s) = x pdf_N(x) at x = e^-s,
-    and each middle hop is one Nystrom step
-    g_n(s_i) = sum_j w_j g_{n+1}(s_j) x pdf_n(x), x = (1 + r_n e^{s_j}) e^{-s_i},
-    which leaves out the kernel columns where a block of rows has every
-    x > e^T_HI (see ROW_BLOCK).  Only the last step, G values of F1, depends
-    on gamma_bar.  The stated error is the mass the window leaves out, each
-    term an outage mass from cdf:
-    P(X_N < e^T_LO) + P(X_N > e^T_HI) for the last hop, and
-    P(X_n > e^T_HI) + sum_j w_j g_{n+1}(s_j) F_n((1 + r_n e^{s_j}) e^T_LO)
-    for each middle hop, whose P(X_n > e^T_HI) bounds the kernel points left
-    out; QuadratureConvergenceError is raised when it exceeds ORACLE_RTOL of
-    the result.
+    Elementwise on an array of gamma_bar, each finite and > 0 (scalar in,
+    scalar out).  Hop 1 integrates out in closed form, so the outage is the
+    outage mass E[F1(xi1 V)], with no 1 - survival step: one dot product of
+    F1 at the nodes of :func:`_threshold_table` with its weights per
+    gamma_bar, the only step that depends on gamma_bar.  The table holds the
+    density of ln U_2 at the nodes of composite 16-point Gauss-Legendre
+    panels on [-T_HI, -T_LO], the log-gain window [T_LO, T_HI] reflected,
+    from one Nystrom step for every hop n >= 2.  The stated error is the mass
+    the window leaves out; QuadratureConvergenceError is raised when it
+    exceeds ORACLE_RTOL of the result.
     """
-    gamma_bar = np.asarray(gamma_bar, dtype=float)
-    xis = network.xi(gamma_bar)
-    first, *later = network.hops
-    if not later:
-        return cdf(first.model, xis[0])
-    t, w = _quad()
-    x = np.exp(t)
-    es = np.exp(-t)  # e^s at the reflected nodes s = -t
-    last = later[-1].model
-    wg = w * x * pdf(last, x)  # w_j g_N(s_j)
-    # The upper tail is 1 - F only to ~1e-16 absolute, far below any bound
-    # it meets while the outage exceeds 1e-10.
-    omitted = float(cdf(last, math.exp(T_LO))) + (1.0 - float(cdf(last, math.exp(T_HI))))
-    for hop, nxt in reversed(list(zip(later, later[1:]))):
-        shift = 1.0 + (nxt.rho / hop.rho) * es
-        neg_log_shift = -np.log(shift)  # ascending, as shift falls with j
-        g = np.empty_like(t)
-        for lo in range(0, t.size, ROW_BLOCK):
-            # ln x = t_i + ln shift_j rises with i and falls with j, so the
-            # block's first row fixes the first column with ln x <= T_HI
-            j0 = np.searchsorted(neg_log_shift, t[lo] - T_HI)
-            y = np.outer(x[lo:lo + ROW_BLOCK], shift[j0:])
-            g[lo:lo + ROW_BLOCK] = (y * pdf(hop.model, y)) @ wg[j0:]
-        omitted += (1.0 - float(cdf(hop.model, math.exp(T_HI)))
-                    + float(wg @ cdf(hop.model, shift * math.exp(T_LO))))
-        wg = w * g
+    gamma_bar = _finite_positive(gamma_bar)
+    v, wg, omitted = _threshold_table(network)
+    first = network.hops[0].model
     # One dot product per gamma_bar, so a sweep gives each point's value bit for bit.
-    value = np.array([cdf(first.model, xi1 + xi2 * es) @ wg
-                      for xi1, xi2 in zip(np.ravel(xis[0]), np.ravel(xis[1]))]).reshape(gamma_bar.shape)
+    value = np.array([cdf(first, xi1 * v) @ wg
+                      for xi1 in np.ravel(network.xi(gamma_bar)[0])]).reshape(gamma_bar.shape)
     if np.any(omitted > ORACLE_RTOL * value):
         raise QuadratureConvergenceError(
             f"log-gain window [{T_LO:g}, {T_HI:g}] leaves out gain mass {omitted:.2e}, "

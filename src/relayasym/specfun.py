@@ -66,16 +66,13 @@ def kummer_1f1(a, z: float):
 
     The Rician moment needs only b = 1.  Direct Taylor series with
     term-ratio stopping; entire in ``a``.  The moments pass z = K >= 0, where
-    the series does not alternate; a negative z is routed through the Kummer
-    transformation 1F1(a; 1; z) = e^z 1F1(1 - a; 1; -z).
+    the series does not alternate; a negative z takes the same series.
     """
     z = float(z)
     if abs(z) > KUMMER_Z_BOUND:
         raise ArgumentRangeError(
             f"1F1 argument |z|={abs(z):g} exceeds supported bound {KUMMER_Z_BOUND:g}"
         )
-    if z < 0:
-        return np.exp(z) * _series(1.0 - a, -z)
     return _series(a, z)
 
 

@@ -6,7 +6,6 @@ import pytest
 from relayasym import analysis, mellin, montecarlo
 from relayasym.analysis import (
     db_to_linear,
-    empirical_slope,
     finite_diversity,
     log_log_diversity,
     sweep_compare,
@@ -54,28 +53,6 @@ def test_finite_diversity_monotone_above_e_to_e():
 # ---------------------------------------------------------------------------
 
 
-def test_empirical_slope_power_law():
-    pts = [(1e2, 3e-2), (1e3, 3e-3)]
-    [(mid, slope)] = empirical_slope(pts)
-    assert slope == pytest.approx(1.0, abs=1e-12)
-    assert mid == pytest.approx(math.sqrt(1e5))
-
-
-def test_empirical_slope_log_dampening_sign():
-    pts = [(g, math.log(g) / g) for g in (1e6, 1e8)]
-    [(_, slope)] = empirical_slope(pts)
-    assert slope < 1.0
-
-
-def test_empirical_slope_errors():
-    with pytest.raises(ValueError):
-        empirical_slope([(1.0, 0.5)])
-    with pytest.raises(ValueError):
-        empirical_slope([(2.0, 0.5), (1.0, 0.1)])
-    with pytest.raises(ValueError):
-        empirical_slope([(1.0, 0.5), (2.0, 0.0)])
-
-
 def test_log_log_diversity_matches_formula_nak3():
     net = REFERENCE_CONFIGS["nak3"]
     exp = mellin.build_expansion(net, 2)
@@ -91,10 +68,11 @@ def test_mc_and_oracle_slopes_agree():
     gammas = [10.0, 100.0]
     mc = [montecarlo.estimate_outage(net, g, 10**6, seed=17) for g in gammas]
     oracle = [montecarlo.oracle_outage(net, g) for g in gammas]
-    [(_, slope_mc)] = empirical_slope(list(zip(gammas, [e.p_hat for e in mc])))
-    [(_, slope_or)] = empirical_slope(list(zip(gammas, oracle)))
-    # ln p standard error from the exact CI half width
+    # two-point log-log slopes -dln p/dln gamma_bar
     dlg = math.log(gammas[1]) - math.log(gammas[0])
+    slope_mc = -(math.log(mc[1].p_hat) - math.log(mc[0].p_hat)) / dlg
+    slope_or = -(math.log(oracle[1]) - math.log(oracle[0])) / dlg
+    # ln p standard error from the exact CI half width
     se = (
         sum(((e.ci_high - e.ci_low) / (2 * 1.96 * e.p_hat)) ** 2 for e in mc) ** 0.5
         / dlg

@@ -341,6 +341,8 @@ def test_exit_codes(tmp_path, capsys):
     # option values that are not finite, or give no float gain or grid
     assert cli.main(["asymptote", "--config", ray, "--re-min", "nan"]) == EXIT_CONFIG
     assert cli.main(["simulate", "--config", ray, "--db-from", "4000"]) == EXIT_CONFIG
+    # a dB value whose gain underflows to 0.0
+    assert cli.main(["simulate", "--config", ray, "--db-from", "-4000"]) == EXIT_CONFIG
     assert cli.main(["diversity", "--config", ray, "--db-from", "0", "--db-to", "10", "--db-step", "1e-9"]) == EXIT_CONFIG
     assert cli.main(["sweep", "--config", ray, "--db-from", "0", "--db-to", "inf", "--samples", "0"]) == EXIT_CONFIG
     # pole windows too wide or too fine to list: a million poles, and 150,000

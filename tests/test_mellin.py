@@ -457,6 +457,12 @@ def test_evaluate_expansion_clamps():
         mellin.evaluate_expansion(big, 1.0)
 
 
+@pytest.mark.parametrize("gamma_bar", [math.nan, math.inf, -math.inf, 0.0, -10.0])
+def test_evaluate_expansion_rejects_gamma_bar_not_finite_above_1(gamma_bar):
+    with pytest.raises(ValueError, match="gamma_bar"):
+        mellin.evaluate_expansion(mellin.build_expansion(REFERENCE_CONFIGS["nak3"], 2), gamma_bar)
+
+
 def test_truncation_warning_fires_when_orders_disagree():
     # the first Rician correction order shifts the value by ~40% at 1e8, so
     # comparing orders 1 and 0 there must warn; orders 2 and 1 agree closely

@@ -132,7 +132,7 @@ def test_estimate_one_core_runs_inline(monkeypatch):
 def test_bench_tracer_contract():
     # the benchmark tracer wraps package functions by name and counts the
     # sampler's draws from its size argument; every name it patches must
-    # exist, and the analytic path must reach its wrapped pole and moment calls
+    # exist, and the analytic path and the oracle must reach the calls it wraps
     path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("bench_tracer", path)
     bench_tracer = importlib.util.module_from_spec(spec)
@@ -146,12 +146,16 @@ def test_bench_tracer_contract():
         # one worker: the tracer's counters take no lock
         estimate_outage(rayleigh_chain(2), 10.0, 5000, seed=3, block_size=2048, n_workers=1)
         mellin.build_expansion(rayleigh_chain(2), 2)
+        oracle_outage(rayleigh_chain(3), 100.0)
     finally:
         tracer.uninstall()
     assert tracer.calls("channels.sample") == 6
     assert tracer.draws("channels.sample") == 10_000
     assert tracer.calls("mellin.enumerate_poles") > 0
     assert tracer.calls("channels.log_moment") > 0
+    # the oracle looks up pdf and _quad as montecarlo globals
+    assert tracer.calls("channels.pdf") > 0
+    assert tracer.calls("montecarlo.quad") == 1
 
 
 # Outage counts at gamma_bar = 10 dB, seed 20260418, in blocks of 2^18 with a
@@ -195,6 +199,12 @@ def test_block_fold_holds_three_block_arrays(name):
 def test_estimate_requires_min_samples():
     with pytest.raises(ValueError):
         estimate_outage(rayleigh_chain(1), 10.0, 500, seed=1)
+
+
+@pytest.mark.parametrize("gamma_bar", [math.nan, math.inf, -math.inf, 0.0, -10.0])
+def test_estimate_rejects_gamma_bar_not_finite_positive(gamma_bar):
+    with pytest.raises(ValueError, match="gamma_bar"):
+        estimate_outage(REFERENCE_CONFIGS["nak3"], gamma_bar, 10_000, seed=1)
 
 
 def test_estimator_calibration():
@@ -243,6 +253,37 @@ def test_import_leaves_out_scipy_stats():
 # ---------------------------------------------------------------------------
 # quadrature oracle
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("gamma_bar", [math.nan, math.inf, -math.inf, 0.0, -10.0])
+def test_oracle_rejects_gamma_bar_not_finite_positive(gamma_bar):
+    net = REFERENCE_CONFIGS["nak3"]
+    with pytest.raises(ValueError, match="gamma_bar"):
+        oracle_outage(net, gamma_bar)
+    with pytest.raises(ValueError, match="gamma_bar"):
+        oracle_outage(net, np.array([10.0, gamma_bar, 100.0]))
+
+
+def test_threshold_table_unit_mass_and_total():
+    # N = 1 is the unit mass at v = 1; for N > 1 the weights hold the unit
+    # mass of U_2 but what the window leaves out
+    v, wg, omitted = montecarlo._threshold_table(rayleigh_chain(1))
+    assert (v.tolist(), wg.tolist(), omitted) == ([1.0], [1.0], 0.0)
+    for name in ("nak3", "ric3", "hoyt4", "wei4"):
+        v, wg, omitted = montecarlo._threshold_table(REFERENCE_CONFIGS[name])
+        assert v.shape == wg.shape
+        assert abs(wg.sum() - 1.0) <= omitted + 1e-14, name
+
+
+def test_threshold_table_gives_leading_constant_off_last_hop():
+    # hop 1 (m = 1.5) carries the simple leading pole s0 = -1.5: its CDF is
+    # x^m / Gamma(m + 1) as x -> 0, so p ~ C gamma_bar^-1.5 with
+    # C = E[V^m] / Gamma(m + 1) at gamma_t = 1
+    net = make_network([F.nakagami(m) for m in (1.5, 2.5, 3.5)])
+    v, wg, _ = montecarlo._threshold_table(net)
+    constant = float(wg @ v**1.5) / math.gamma(2.5)
+    assert abs(constant - 2.24302) <= 5e-6
+    assert constant == pytest.approx(oracle_outage(net, 1e12) * 1e18, rel=1e-8)
 
 
 def test_oracle_one_hop_values():
