@@ -18,9 +18,9 @@ lambda_N = 0 term; :func:`build_expansion` sums the residues of every term
 by exponent, and its truncation check compares the sum of all orders with
 the sum of the orders below lambda_max.  Each hop's poles are the floats
 r0 - step*j that :func:`relayasym.channels.mellin_poles` lists; it refuses
-a window of more than ``MAX_LATTICE_POLES`` poles.  The expansion is a
-series in 1/gamma_bar and ln(gamma_bar), so it is evaluated only for
-gamma_bar > 1.
+a window of more than ``MAX_LATTICE_POLES`` poles; :func:`leading_pole`
+lists none.  The expansion is a series in 1/gamma_bar and ln(gamma_bar),
+so it is evaluated only for gamma_bar > 1.
 """
 
 from __future__ import annotations
@@ -290,18 +290,15 @@ def _rebase_coefficients(multiplier: float, derivs, s0: float, a_scale: float):
     return coeffs
 
 
-def _rightmost_network_pole(network: NetworkConfig) -> float:
-    return max(lattice(hop.model)[0] for hop in network.hops)
-
-
 def leading_pole(network: NetworkConfig) -> tuple[float, int]:
     """Location and merged order of the rightmost non-origin pole of G(s).
 
-    Pure pole arithmetic, no contour work; the diversity order is -s0.
+    Lattice arithmetic, O(N): s0 is the largest hop r0 (:func:`lattice`) and
+    k counts the r0 within POLE_MERGE_TOL of it; the diversity order is -s0.
     """
-    s0 = _rightmost_network_pole(network)
-    poles = enumerate_poles(network, (0,) * network.n_hops, s0 - 1.0)
-    return s0, next(order for loc, order in poles if abs(loc - s0) < POLE_MERGE_TOL)
+    r0s = [lattice(hop.model)[0] for hop in network.hops]
+    s0 = max(r0s)
+    return s0, sum(s0 - r0 < POLE_MERGE_TOL for r0 in r0s)
 
 
 def _residues(network: NetworkConfig, shifts, re_min: float, rings: dict):
@@ -331,7 +328,7 @@ def leading_term(network: NetworkConfig):
     top one), the pole location, and its effective order.  The diversity
     order is -s0.
     """
-    s0 = _rightmost_network_pole(network)
+    s0, _ = leading_pole(network)
     loc, derivs = next(_residues(network, (0,) * network.n_hops, s0 - 0.5, {}))
     a_scale = network.gamma_t * network.hops[-1].rho
     coeffs = _rebase_coefficients(-1.0, derivs, loc, a_scale)
@@ -379,12 +376,22 @@ def build_expansion(
     a term.  If ``warn_gamma_bar`` is given, the unclamped lambda_max and
     lambda_max-1 truncations are compared there and a TruncationWarning is
     emitted when the lambda_max sum is not positive or the two differ by more
-    than 10% of it (formal-series divergence signal).
+    than 10% of it (formal-series divergence signal).  It also warns when
+    hop N is off the leading pole s0, where the leading constant is a
+    partial sum.
     """
     if lambda_max < 0:
         raise ValueError("lambda_max must be >= 0")
+    s0, k = leading_pole(network)
+    last = lattice(network.hops[-1].model)[0]
+    # Off the leading pole the constant is the binomial series of (rho + W)^-s0,
+    # which the lambda <= -s0 terms sum exactly only for a simple pole at an integer s0.
+    if s0 - last >= POLE_MERGE_TOL and not (k == 1 and s0 == round(s0) and lambda_max >= -s0):
+        warnings.warn(f"hop {network.n_hops} (pole {last:g}) is off the leading pole s0 = {s0:g}: "
+                      f"its lambda_max = {lambda_max} constant is a partial sum",
+                      TruncationWarning, stacklevel=2)
     if re_min is None:
-        re_min = _rightmost_network_pole(network) - DEFAULT_RE_MIN_OFFSET
+        re_min = s0 - DEFAULT_RE_MIN_OFFSET
     a_scale = network.gamma_t * network.hops[-1].rho
     rings: dict = {}  # log_moment rings shared by every term of this build
     entries = []  # (lambda_N, exponent, coefficients), one per residue

@@ -15,6 +15,7 @@ holds three block-sized buffers, which it reuses for all of its blocks.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -165,9 +166,13 @@ ROW_BLOCK = 32
 ORACLE_RTOL = 1e-6
 
 
+#: Gauss-Legendre rules on [-1, 1] by node count, each made on first use.
+_legendre = functools.cache(np.polynomial.legendre.leggauss)
+
+
 def _quad():
     """Nodes t and weights of the composite Gauss-Legendre rule on [T_LO, T_HI]."""
-    x, w = np.polynomial.legendre.leggauss(GL_NODES)
+    x, w = _legendre(GL_NODES)
     half = 0.5 * PANEL_WIDTH
     mid = np.arange(T_LO + half, T_HI, PANEL_WIDTH)[:, None]
     return (mid + half * x).ravel(), np.tile(half * w, mid.size)

@@ -6,6 +6,8 @@ log-gamma on the complex plane, the confluent hypergeometric function
 a polar midpoint rule whose nodes the Hoyt distribution function shares,
 and ln I0 for the Rician/Hoyt densities.  The first three act elementwise on
 arrays of their first argument, so a whole residue contour is one call.
+None checks for poles: ``channels.log_moment`` refuses its lattice's poles
+before it calls in here.
 """
 
 from __future__ import annotations
@@ -15,9 +17,7 @@ import math
 import numpy as np
 from scipy.special import i0e, loggamma
 
-from .errors import ArgumentRangeError, PoleAtArgumentError, SeriesDivergenceError
-
-GAMMA_POLE_TOL = 1e-12
+from .errors import ArgumentRangeError, SeriesDivergenceError
 
 #: Largest confluent-hypergeometric argument accepted; the Rician
 #: K factor never exceeds this in supported configurations.
@@ -29,27 +29,27 @@ _MAX_SERIES_TERMS = 20000
 def log_gamma(z):
     """Principal branch of log-gamma, analytic off the negative real axis.
 
-    Elementwise on a complex array (scalar in, scalar out).  Raises
-    :class:`PoleAtArgumentError` if any element lies within 1e-12 of a
-    non-positive integer.
+    Elementwise on a complex array (scalar in, scalar out).  It checks no
+    poles: its one caller, :func:`relayasym.channels.log_moment`, refuses
+    arguments on the moment's pole lattice first.
     """
-    z = np.asarray(z, dtype=complex)
-    nearest = np.round(z.real)
-    at_pole = (np.abs(z.imag) <= GAMMA_POLE_TOL) & (nearest <= 0) & (
-        np.abs(z.real - nearest) <= GAMMA_POLE_TOL
-    )
-    if np.any(at_pole):
-        raise PoleAtArgumentError(
-            f"gamma evaluated within {GAMMA_POLE_TOL} of pole at {nearest[at_pole][0]:g}"
+    return loggamma(np.asarray(z, dtype=complex))
+
+
+def kummer_1f1(a, z: float):
+    """Confluent hypergeometric function 1F1(a; 1; z) for real z, elementwise in a.
+
+    The Rician moment needs only b = 1.  The Taylor series
+    sum_k (a)_k z^k / (k!)^2, stopped once every element's last term is
+    below 1e-16 of its running sum; entire in ``a``.  The moments pass
+    z = K >= 0, where the series does not alternate; a negative z takes the
+    same series.
+    """
+    z = float(z)
+    if abs(z) > KUMMER_Z_BOUND:
+        raise ArgumentRangeError(
+            f"1F1 argument |z|={abs(z):g} exceeds supported bound {KUMMER_Z_BOUND:g}"
         )
-    return loggamma(z)
-
-
-def _series(a, z: float):
-    """The 1F1(a; 1; z) series sum_k (a)_k z^k / (k!)^2, elementwise over the array a.
-
-    Stops once every element's last term is below 1e-16 of its running sum.
-    """
     a = np.asarray(a, dtype=complex)
     term = np.ones(a.shape, dtype=complex)
     total = term.copy()
@@ -59,21 +59,6 @@ def _series(a, z: float):
         if k > 2 and np.all(np.abs(term) <= 1e-16 * np.abs(total)):
             return total[()]
     raise SeriesDivergenceError("hypergeometric series stalled before convergence")
-
-
-def kummer_1f1(a, z: float):
-    """Confluent hypergeometric function 1F1(a; 1; z) for real z, elementwise in a.
-
-    The Rician moment needs only b = 1.  Direct Taylor series with
-    term-ratio stopping; entire in ``a``.  The moments pass z = K >= 0, where
-    the series does not alternate; a negative z takes the same series.
-    """
-    z = float(z)
-    if abs(z) > KUMMER_Z_BOUND:
-        raise ArgumentRangeError(
-            f"1F1 argument |z|={abs(z):g} exceeds supported bound {KUMMER_Z_BOUND:g}"
-        )
-    return _series(a, z)
 
 
 def polar_nodes(p: float) -> np.ndarray:

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import relayasym
 from relayasym import cli
 from relayasym.analysis import SweepRow
 from relayasym.cli import (
@@ -285,6 +290,36 @@ def test_diversity_command(tmp_path, capsys):
     d30 = float(lines[2].split()[1])
     lg = math.log(10.0**3)
     assert d30 == pytest.approx(1.0 - 2.0 * math.log(lg) / lg, rel=1e-12)
+
+
+def test_diversity_command_fine_weibull_lattice(tmp_path, capsys):
+    # 2,500 Weibull m = 4e-4 poles lie in [s0 - 1, s0]; the leading pole lists none
+    doc = {"gamma_t_db": 0.0, "hops": [{"fading": "nakagami", "m": 2.0}, {"fading": "weibull", "m": 4e-4}]}
+    args = ["diversity", "--config", _write(tmp_path, "fine.json", json.dumps(doc)),
+            "--db-from", "20", "--db-to", "30", "--db-step", "10"]
+    assert cli.main(args) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[1:] == ["20 0.0004", "30 0.0004"]
+
+
+def test_asymptote_warns_on_stderr_when_hop_n_is_off_the_leading_pole(tmp_path):
+    # the lambda = 2 constant 3.1075 is a partial sum (exact: 2.24302); stdout
+    # keeps its format and values, and the warning names hop 3 on stderr
+    doc = {"gamma_t_db": 0.0, "hops": [{"fading": "nakagami", "m": m} for m in (1.5, 2.5, 3.5)]}
+    cfg = _write(tmp_path, "n3.json", json.dumps(doc))
+    proc = subprocess.run(
+        [sys.executable, "-m", "relayasym.cli", "asymptote", "--config", cfg],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(relayasym.__file__).parents[1])},
+    )
+    assert proc.returncode == EXIT_OK
+    assert proc.stdout == (
+        "# expansion terms: sum_i c_i (ln g)^i g^exponent  (lambda_max=2, re_min=-3)\n"
+        "exponent coefficients(c0..)\n"
+        "-1.5 3.107522350255e+00\n"
+        "-2.5 -1.478386402500e+00 -7.406971081429e-01\n"
+    )
+    assert "TruncationWarning: hop 3 " in proc.stderr
 
 
 # ---------------------------------------------------------------------------

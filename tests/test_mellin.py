@@ -199,7 +199,7 @@ def test_origin_residue_is_one(reference_configs):
     # the numeric residue of the lambda_N = 0 integrand at s = 0
     for name, net in reference_configs.items():
         f = mellin._term_integrand(net, (0,) * net.n_hops, {})
-        context = abs(mellin._rightmost_network_pole(net))
+        context = abs(mellin.leading_pole(net)[0])
         residue = mellin.residue_at(f, 0.0, 1, context)[0]
         assert residue == pytest.approx(1.0, abs=1e-9), name
 
@@ -239,6 +239,89 @@ def test_leading_pole_all_reference_configs(reference_configs):
     for name, net in reference_configs.items():
         s0, k = mellin.leading_pole(net)
         assert (s0, k) == want[name], name
+
+
+NINE_CONFIGS = {**REFERENCE_CONFIGS, "ray1": rayleigh_chain(1), "ray2": rayleigh_chain(2)}
+
+
+def _random_chain(rng) -> NetworkConfig:
+    """1-8 hops of all four families; m from a short list, so poles often coincide."""
+    models = []
+    for family in rng.integers(4, size=int(rng.integers(1, 9))):
+        theta = rng.uniform(0.5, 2.0)
+        if family < 2:
+            m = float(rng.choice([0.5, 0.7, 1.0, 1.3, 1.5, 2.0, 2.5]))
+            models.append((F.nakagami, F.weibull)[family](m, theta))
+        elif family == 2:
+            models.append(F.rician(rng.uniform(0.0, 4.0), theta))
+        else:
+            models.append(F.hoyt(rng.uniform(0.3, 1.0), theta))
+    rhos = [1.0, *rng.uniform(0.5, 2.0, len(models) - 1)]
+    return make_network(models, rhos, gamma_t=rng.uniform(0.5, 2.0))
+
+
+def test_leading_pole_is_the_order_enumerate_poles_gives():
+    # the lattice arithmetic of leading_pole against the merged pole list
+    rng = np.random.default_rng(20261019)
+    nets = list(NINE_CONFIGS.values()) + [_random_chain(rng) for _ in range(200)]
+    for net in nets:
+        s0, k = mellin.leading_pole(net)
+        poles = mellin.enumerate_poles(net, (0,) * net.n_hops, s0 - 1.0)
+        rightmost = max(loc for loc, _ in poles if abs(loc) >= channels.POLE_MERGE_TOL)
+        assert abs(rightmost - s0) < channels.POLE_MERGE_TOL, net
+        assert [order for loc, order in poles if abs(loc - s0) < channels.POLE_MERGE_TOL] == [k], net
+
+
+def test_leading_pole_lists_no_poles():
+    # [s0 - 1, s0] holds 2,500 poles of a Weibull m = 4e-4 moment, and two
+    # lattices 1e-7 apart would warn if they were listed; neither is
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert mellin.leading_pole(make_network([F.nakagami(2.0), F.weibull(4e-4)])) == (-4e-4, 1)
+        assert mellin.leading_pole(make_network([F.weibull(0.3), F.nakagami(0.3000001)])) == (-0.3, 1)
+
+
+def _nakagami_chain(*ms) -> NetworkConfig:
+    return make_network([F.nakagami(m) for m in ms])
+
+
+@pytest.mark.parametrize(
+    "net, lambda_max, warns",
+    [
+        (_nakagami_chain(1.5, 2.5, 3.5), 2, True),
+        (_nakagami_chain(1.5, 2.5), 2, True),
+        (_nakagami_chain(1.0, 1.0, 3.0), 2, True),  # k = 2: no finite binomial sum
+        (_nakagami_chain(2.0, 3.0), 1, True),  # lambda_max < -s0
+        (_nakagami_chain(3.5, 2.5, 1.5), 2, False),
+        (_nakagami_chain(2.5, 1.5), 2, False),
+        (_nakagami_chain(1.0, 3.0, 1.0), 2, False),
+        (_nakagami_chain(1.0, 2.0), 2, False),
+        (_nakagami_chain(2.0, 3.0), 2, False),
+        *[(net, 2, False) for net in NINE_CONFIGS.values()],
+    ],
+    ids=["n1.5-2.5-3.5", "n1.5-2.5", "n1-1-3", "n2-3-l1", "n3.5-2.5-1.5", "n2.5-1.5", "n1-3-1",
+         "n1-2", "n2-3-l2", *NINE_CONFIGS],
+)
+def test_warns_when_hop_n_is_off_the_leading_pole(net, lambda_max, warns):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        mellin.build_expansion(net, lambda_max)
+    hits = [str(w.message) for w in caught if issubclass(w.category, TruncationWarning)]
+    assert len(hits) == warns, hits
+    if warns:
+        assert f"hop {net.n_hops} " in hits[0]
+
+
+@pytest.mark.parametrize("ms, lambda_max", [((1.0, 2.0), 1), ((2.0, 3.0), 2)])
+def test_off_pole_constant_exact_where_the_binomial_sum_is_finite(ms, lambda_max):
+    # Nakagami hop 1 with integer m on a simple pole, theta = rho = gamma_t = 1:
+    # C = E[(1 + 1/X2)^m] / m!, with E[X2^-j] = Gamma(m2 - j) / Gamma(m2)
+    m, m2 = ms
+    want = sum(math.comb(int(m), j) * math.gamma(m2 - j) / math.gamma(m2) for j in range(int(m) + 1))
+    want /= math.factorial(int(m))
+    top = mellin.build_expansion(_nakagami_chain(*ms), lambda_max).terms[0]
+    assert top.exponent == -m
+    assert top.log_coeffs == pytest.approx((want,), rel=1e-9)
 
 
 def test_two_hop_rayleigh_leading_coefficients_vs_oracle_fit():

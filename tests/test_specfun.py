@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from relayasym import specfun as sf
-from relayasym.errors import ArgumentRangeError, PoleAtArgumentError
+from relayasym.errors import ArgumentRangeError
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -62,14 +62,6 @@ def test_gamma_reflection_region():
     assert gamma(-0.5).real == pytest.approx(-2.0 * math.sqrt(math.pi), rel=1e-12)
     # gamma(-1.5) = 4 sqrt(pi) / 3
     assert gamma(-1.5).real == pytest.approx(4.0 * math.sqrt(math.pi) / 3.0, rel=1e-12)
-
-
-@pytest.mark.parametrize("bad", [0.0, -1.0, -7.0, -3.0 + 1e-14j])
-def test_gamma_pole_errors(bad):
-    with pytest.raises(PoleAtArgumentError):
-        sf.log_gamma(bad)
-    with pytest.raises(PoleAtArgumentError):
-        sf.log_gamma(np.array([0.5 + 1j, bad, 2.0]))
 
 
 def test_gamma_recurrence_property():
