@@ -71,8 +71,8 @@ def db_to_linear(db: float) -> float:
 
 
 def _db_grid(lo: float, hi: float, step: float) -> list[float]:
-    if not (hi > lo and step > 0):
-        raise ValueError("need lo < hi and step > 0")
+    if not (hi >= lo and step > 0):
+        raise ValueError("need lo <= hi and step > 0")
     if not (hi - lo) / step < MAX_GRID_POINTS:
         raise ValueError(f"{lo:g} to {hi:g} dB in steps of {step:g} is more than "
                          f"{MAX_GRID_POINTS} grid points")

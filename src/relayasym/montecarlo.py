@@ -11,6 +11,9 @@ estimator runs one worker thread per core in the process's CPU affinity
 mask (at most one per block), so ``taskset`` sets the count.  Each block
 of chains is folded forward hop by hop as its gains are drawn, so a worker
 holds three block-sized buffers, which it reuses for all of its blocks.
+The oracle runs the row blocks of each Nystrom step on the same number of
+threads (at most one per block); each block writes only its own rows, so
+its values do not depend on the count either.
 """
 
 from __future__ import annotations
@@ -73,6 +76,19 @@ def _finite_positive(gamma_bar) -> np.ndarray:
     return gamma_bar
 
 
+def _n_cores() -> int:
+    """Cores in the process's CPU affinity mask: the default worker count."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _map(fn, items, workers: int) -> list:
+    """``[fn(item) for item in items]``, on a pool of ``workers`` threads when more than one."""
+    if workers == 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
+
+
 def _count_block_outages(network: NetworkConfig, gamma_bar: float, seed: int,
                          stream_index: int, size: int, buffers: np.ndarray) -> int:
     """Outages among one block of ``size`` chains, drawn from substream (seed, stream_index).
@@ -122,7 +138,7 @@ def estimate_outage(
     blocks = [(stream_base + b, min(block_size, n_samples - lo))
               for b, lo in enumerate(range(0, n_samples, block_size))]
     if n_workers is None:  # every core this process may run on
-        n_workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+        n_workers = _n_cores()
     workers = min(max(1, int(n_workers)), len(blocks))
     # Worker w counts blocks w, w + workers, ... in buffers[w].  One allocation
     # for all workers is large enough (two or more at the default block size)
@@ -134,11 +150,7 @@ def estimate_outage(
         return sum(_count_block_outages(network, gamma_bar, seed, idx, size, buffers[w])
                    for idx, size in blocks[w::workers])
 
-    if workers == 1:
-        n_outages = count_share(0)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            n_outages = sum(pool.map(count_share, range(workers)))
+    n_outages = sum(_map(count_share, range(workers), workers))
     p_hat = n_outages / n_samples
     ci_low, ci_high = clopper_pearson(n_outages, n_samples)
     return OutageEstimate(p_hat, ci_low, ci_high, n_samples, n_outages, seed)
@@ -154,13 +166,13 @@ PANEL_WIDTH = 0.5
 GL_NODES = 16
 
 #: Rows per block of a hop's kernel: ROW_BLOCK * G // columns, so a block
-#: holds at most ROW_BLOCK x G points (32 x 1632 doubles, 0.4 MB) and the pdf
-#: temporaries stay small where a whole middle-hop kernel would be 21 MB; hop
-#: N's one-column kernel is one block.  Each block is evaluated only on the
-#: columns where X_n <= e^T_HI for its first row, about 0.62 G^2 points a
-#: middle hop for r_n = 1; every point left out has X_n > e^T_HI, mass the
-#: stated error counts as P(X_n > e^T_HI).
-ROW_BLOCK = 32
+#: holds at most ROW_BLOCK x G points (16 x 1632 doubles, 0.2 MB) and the pdf
+#: temporaries of all workers together stay small where a whole middle-hop
+#: kernel would be 21 MB; hop N's one-column kernel is one block.  Each block
+#: is evaluated only on the columns where X_n <= e^T_HI for its first row,
+#: about 0.62 G^2 points a middle hop for r_n = 1; every point left out has
+#: X_n > e^T_HI, mass the stated error counts as P(X_n > e^T_HI).
+ROW_BLOCK = 16
 
 #: Largest gain mass the window may leave out, relative to the result.
 ORACLE_RTOL = 1e-6
@@ -176,6 +188,28 @@ def _quad():
     half = 0.5 * PANEL_WIDTH
     mid = np.arange(T_LO + half, T_HI, PANEL_WIDTH)[:, None]
     return (mid + half * x).ravel(), np.tile(half * w, mid.size)
+
+
+def _nystrom_step(model, v: np.ndarray, wg: np.ndarray, t: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """g(s_i) = sum_j wg_j y pdf(y), y = v_j x_i, x_i = e^{t_i}, in blocks of rows.
+
+    The blocks run on one thread per core (at most one per block), and each
+    writes only its own rows of g, so g does not depend on the thread count.
+    """
+    neg_log_v = -np.log(v)  # ascending, as v falls with j
+    rows = ROW_BLOCK * t.size // v.size
+    g = np.empty_like(t)
+
+    def block(lo):
+        # ln y = t_i + ln v_j rises with i and falls with j, so the block's
+        # first row fixes the first column with ln y <= T_HI
+        j0 = np.searchsorted(neg_log_v, t[lo] - T_HI)
+        y = np.outer(x[lo:lo + rows], v[j0:])
+        g[lo:lo + rows] = (y * pdf(model, y)) @ wg[j0:]
+
+    starts = range(0, t.size, rows)
+    _map(block, starts, min(_n_cores(), len(starts)))
+    return g
 
 
 def _threshold_table(network: NetworkConfig):
@@ -200,15 +234,7 @@ def _threshold_table(network: NetworkConfig):
     x, es = np.exp(t), np.exp(-t)  # e^s at the reflected nodes s = -t
     for n in range(len(hops) - 1, 0, -1):
         model = hops[n].model
-        neg_log_v = -np.log(v)  # ascending, as v falls with j
-        rows = ROW_BLOCK * t.size // v.size
-        g = np.empty_like(t)
-        for lo in range(0, t.size, rows):
-            # ln x = t_i + ln v_j rises with i and falls with j, so the
-            # block's first row fixes the first column with ln x <= T_HI
-            j0 = np.searchsorted(neg_log_v, t[lo] - T_HI)
-            y = np.outer(x[lo:lo + rows], v[j0:])
-            g[lo:lo + rows] = (y * pdf(model, y)) @ wg[j0:]
+        g = _nystrom_step(model, v, wg, t, x)
         # The upper tail is 1 - F only to ~1e-16 absolute, far below any
         # bound it meets while the outage exceeds 1e-10.
         omitted += (1.0 - float(cdf(model, math.exp(T_HI)))

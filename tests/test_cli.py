@@ -292,6 +292,31 @@ def test_diversity_command(tmp_path, capsys):
     assert d30 == pytest.approx(1.0 - 2.0 * math.log(lg) / lg, rel=1e-12)
 
 
+def test_one_point_db_grid(tmp_path, capsys):
+    # --db-from equal to --db-to is a grid of one point: one row, the same
+    # row a longer grid from that point starts with
+    cfg = _write(tmp_path, "ric3.json", RIC3_TEXT)
+    for command in ("diversity", "sweep"):
+        args = [command, "--config", cfg, "--db-from", "20", "--db-step", "10", "--samples", "0", "--oracle"]
+        assert cli.main(args + ["--db-to", "20"]) == EXIT_OK
+        one = capsys.readouterr().out.splitlines()
+        assert cli.main(args + ["--db-to", "30"]) == EXIT_OK
+        two = capsys.readouterr().out.splitlines()
+        assert len(one) == 2
+        assert one == two[:2]
+
+
+@pytest.mark.parametrize("command", ["diversity", "sweep"])
+@pytest.mark.parametrize("db_range", [("30", "20", "5"), ("20", "30", "0"), ("20", "30", "-5")],
+                         ids=["descending", "zero-step", "negative-step"])
+def test_db_grid_needs_ascending_range_and_positive_step(tmp_path, capsys, command, db_range):
+    cfg = _write(tmp_path, "ray1.json", RAY1_TEXT)
+    lo, hi, step = db_range
+    args = [command, "--config", cfg, "--db-from", lo, "--db-to", hi, "--db-step", step, "--samples", "0"]
+    assert cli.main(args) == EXIT_CONFIG
+    assert "need lo <= hi and step > 0" in capsys.readouterr().err
+
+
 def test_diversity_command_fine_weibull_lattice(tmp_path, capsys):
     # 2,500 Weibull m = 4e-4 poles lie in [s0 - 1, s0]; the leading pole lists none
     doc = {"gamma_t_db": 0.0, "hops": [{"fading": "nakagami", "m": 2.0}, {"fading": "weibull", "m": 4e-4}]}

@@ -129,7 +129,7 @@ def test_estimate_one_core_runs_inline(monkeypatch):
     assert estimate_outage(net, 10.0, 10**6, seed=7, block_size=1 << 17) == ref
 
 
-def test_bench_tracer_contract():
+def test_bench_tracer_contract(monkeypatch):
     # the benchmark tracer wraps package functions by name and counts the
     # sampler's draws from its size argument; every name it patches must
     # exist, and the analytic path and the oracle must reach the calls it wraps
@@ -146,6 +146,7 @@ def test_bench_tracer_contract():
         # one worker: the tracer's counters take no lock
         estimate_outage(rayleigh_chain(2), 10.0, 5000, seed=3, block_size=2048, n_workers=1)
         mellin.build_expansion(rayleigh_chain(2), 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         oracle_outage(rayleigh_chain(3), 100.0)
     finally:
         tracer.uninstall()
@@ -376,6 +377,8 @@ def test_oracle_kernel_evaluates_only_inside_window(monkeypatch, rhos):
     # stated error already counts their mass, and the value does not move
     net = make_network([hop.model for hop in REFERENCE_CONFIGS["ric3"].hops], rhos=rhos)
     n_kernel = 0
+    # one core: the kernel blocks run in this thread, so the count takes no lock
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
 
     def counting_pdf(model, x):
         nonlocal n_kernel
@@ -389,6 +392,38 @@ def test_oracle_kernel_evaluates_only_inside_window(monkeypatch, rhos):
     grid = montecarlo._quad()[0].size
     assert 0 < n_kernel <= 0.65 * grid**2
     assert value == pytest.approx(_full_kernel_oracle(net, 1e4), rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("name", ["ric3", "hoyt3", "nak8"])
+def test_oracle_one_core_runs_inline(monkeypatch, name):
+    # the kernel blocks run on one thread per core of the affinity mask, and
+    # each writes only its own rows: values are the same on one core or four
+    net = (make_network([F.nakagami(m) for m in (2.2, 1.8, 1.6, 2.5, 2.1, 2.9, 1.7, 1.3)])
+           if name == "nak8" else REFERENCE_CONFIGS[name])
+    gammas = 10.0 ** np.arange(2.0, 6.5, 0.5)  # 20-60 dB
+    pool_sizes = []
+
+    class CountingPool(montecarlo.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pool_sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", CountingPool)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, to shake out shared writes
+    try:
+        threaded = oracle_outage(net, gammas)
+    finally:
+        sys.setswitchinterval(interval)
+    assert set(pool_sizes) == {4}
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a one-core oracle started a thread pool")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", no_pool)
+    assert oracle_outage(net, gammas).tobytes() == threaded.tobytes()
 
 
 def test_oracle_raises_when_window_leaves_out_mass():
