@@ -76,11 +76,10 @@ def _db_grid(lo: float, hi: float, step: float) -> list[float]:
     if not (hi - lo) / step < MAX_GRID_POINTS:
         raise ValueError(f"{lo:g} to {hi:g} dB in steps of {step:g} is more than "
                          f"{MAX_GRID_POINTS} grid points")
+    # by index, so the rounding error of a step does not add up along the grid
     grid = []
-    v = lo
-    while v <= hi + 1e-9:
+    while (v := lo + len(grid) * step) <= hi + 1e-9:
         grid.append(round(v, 12))
-        v += step
     return grid
 
 

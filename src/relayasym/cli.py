@@ -5,11 +5,12 @@ Configuration is a single JSON document naming the threshold and hop list:
     {"gamma_t_db": 0.0,
      "hops": [{"fading": "nakagami", "m": 2.2, "theta": 1.0, "rho": 1.0}, ...]}
 
-The parsed command-line arguments are the only options object: each
-command takes the validated network and the argparse namespace.  ``main``
-maps every error to its exit code in one place: 0 success, 2 config
-syntax/schema or a bad option value (including config text that is not
-UTF-8), 3 model validation, 4 numerical failure, 5 I/O.
+Each command takes the validated network and the argparse namespace;
+``_DISPATCH`` names the options it needs and may take, and its parser
+exits 2 on any other.  ``main`` maps every error to its exit code in one
+place: 0 success, 2 a missing option, a bad option value or config
+syntax/schema (config text that is not UTF-8 included), 3 model
+validation, 4 numerical failure, 5 I/O.
 """
 
 from __future__ import annotations
@@ -162,15 +163,9 @@ def emit_csv(rows, path: str | None):
 def _check_finite(args: argparse.Namespace) -> None:
     """ValueError (exit 2) for a dB option or --re-min that is inf or nan."""
     for name in ("db_from", "db_to", "db_step", "re_min"):
-        value = getattr(args, name)
+        value = getattr(args, name, None)
         if value is not None and not math.isfinite(value):
             raise ValueError(f"--{name.replace('_', '-')} must be finite, got {value}")
-
-
-def _require_db_range(args: argparse.Namespace) -> tuple[float, float, float]:
-    if args.db_from is None or args.db_to is None:
-        raise _schema_error(f"command '{args.command}' needs --db-from and --db-to")
-    return (args.db_from, args.db_to, args.db_step)
 
 
 def _cmd_poles(network: NetworkConfig, args: argparse.Namespace) -> None:
@@ -197,8 +192,6 @@ def _cmd_asymptote(network: NetworkConfig, args: argparse.Namespace) -> None:
 
 
 def _cmd_simulate(network: NetworkConfig, args: argparse.Namespace) -> None:
-    if args.db_from is None:
-        raise _schema_error("simulate needs --db-from (the gamma_bar point in dB)")
     gamma_bar = analysis.db_to_linear(args.db_from)
     est = montecarlo.estimate_outage(network, gamma_bar, args.samples, args.seed)
     print(f"gamma_db = {args.db_from:g}")
@@ -212,7 +205,7 @@ def _cmd_simulate(network: NetworkConfig, args: argparse.Namespace) -> None:
 def _cmd_sweep(network: NetworkConfig, args: argparse.Namespace) -> None:
     rows = analysis.sweep_compare(
         network,
-        _require_db_range(args),
+        (args.db_from, args.db_to, args.db_step),
         n_samples=args.samples or None,  # 0 disables MC; a negative count is an error
         oracle=args.oracle,
         lambda_max=args.lambda_max,
@@ -223,20 +216,33 @@ def _cmd_sweep(network: NetworkConfig, args: argparse.Namespace) -> None:
 
 
 def _cmd_diversity(network: NetworkConfig, args: argparse.Namespace) -> None:
-    lo, hi, step = _require_db_range(args)
     s0, k = mellin.leading_pole(network)
     print("gamma_db d_finite")
-    for db in analysis._db_grid(lo, hi, step):
+    for db in analysis._db_grid(args.db_from, args.db_to, args.db_step):
         d = analysis.diversity_where_defined(s0, k, analysis.db_to_linear(db))
         print(f"{db:g} {math.nan if d is None else d!r}")
 
 
+_OPTIONS = {
+    "--db-from": dict(type=float),
+    "--db-to": dict(type=float),
+    "--db-step": dict(type=float, default=5.0),
+    "--samples": dict(type=int, default=10**6, help="Monte Carlo samples; 0 disables MC in sweeps"),
+    "--seed": dict(type=int, default=42),
+    "--lambda-max": dict(type=int, default=mellin.DEFAULT_LAMBDA_MAX),
+    "--re-min": dict(type=float),
+    "--out": dict(help="CSV output path (default stdout)"),
+    "--oracle": dict(action="store_true", help="include the quadrature oracle column"),
+}
+
+# command: (handler, the options it needs, the options it may take)
 _DISPATCH = {
-    "poles": _cmd_poles,
-    "asymptote": _cmd_asymptote,
-    "simulate": _cmd_simulate,
-    "sweep": _cmd_sweep,
-    "diversity": _cmd_diversity,
+    "poles": (_cmd_poles, (), ("--re-min",)),
+    "asymptote": (_cmd_asymptote, (), ("--lambda-max", "--re-min")),
+    "simulate": (_cmd_simulate, ("--db-from",), ("--samples", "--seed")),
+    "sweep": (_cmd_sweep, ("--db-from", "--db-to"),
+              ("--db-step", "--samples", "--seed", "--lambda-max", "--re-min", "--out", "--oracle")),
+    "diversity": (_cmd_diversity, ("--db-from", "--db-to"), ("--db-step",)),
 }
 
 _NUMERICAL_ERRORS = (IllConditionedContourError, QuadratureConvergenceError, ArgumentRangeError,
@@ -249,21 +255,12 @@ def _build_parser() -> argparse.ArgumentParser:
         description="High-SNR outage asymptotics for fixed-gain amplify-and-forward chains",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _DISPATCH:
+    for name, (_, needs, takes) in _DISPATCH.items():
         p = sub.add_parser(name)
         p.add_argument("--config", required=True,
                        help="path to the JSON network config, or - for stdin")
-        p.add_argument("--db-from", type=float, default=None)
-        p.add_argument("--db-to", type=float, default=None)
-        p.add_argument("--db-step", type=float, default=5.0)
-        p.add_argument("--samples", type=int, default=10**6,
-                       help="Monte Carlo samples; 0 disables MC in sweeps")
-        p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--lambda-max", type=int, default=mellin.DEFAULT_LAMBDA_MAX)
-        p.add_argument("--re-min", type=float, default=None)
-        p.add_argument("--out", default=None, help="CSV output path (default stdout)")
-        p.add_argument("--oracle", action="store_true",
-                       help="include the quadrature oracle column")
+        for option in needs + takes:
+            p.add_argument(option, **_OPTIONS[option])
     return parser
 
 
@@ -276,11 +273,14 @@ def _read_config_text(path: str) -> str:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    handler, needs, _ = _DISPATCH[args.command]
     # The handlers are ordered: the typed errors below are ValueErrors too.
     try:
+        if any(getattr(args, option[2:].replace("-", "_")) is None for option in needs):
+            raise ValueError(f"{args.command} needs {' and '.join(needs)}")
         _check_finite(args)
         network = parse_config(_read_config_text(args.config))
-        _DISPATCH[args.command](network, args)
+        handler(network, args)
     except ModelValidationError as exc:
         print(f"model validation failure: {exc}", file=sys.stderr)
         return EXIT_MODEL
@@ -291,7 +291,7 @@ def main(argv=None) -> int:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
     except ValueError as exc:
-        # config syntax/schema, undecodable text, bad option values
+        # config syntax/schema, undecodable text, a missing or bad option value
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     return EXIT_OK

@@ -102,10 +102,8 @@ class AsymptoteTerm:
 
     def evaluate(self, gamma_bar: float) -> float:
         lg = math.log(gamma_bar)
-        poly = 0.0
-        for c in reversed(self.log_coeffs):
-            poly = poly * lg + c
-        return poly * math.exp(self.exponent * lg)
+        poly = np.polynomial.polynomial.polyval(lg, self.log_coeffs)
+        return float(poly) * math.exp(self.exponent * lg)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -61,7 +62,7 @@ def test_parse_three_hop_nakagami_config():
     assert network.n_hops == 3
     assert network.gamma_t == 1.0
     assert [h.model.shape for h in network.hops] == [2.2, 1.8, 1.8]
-    args = cli._build_parser().parse_args(["poles", "--config", "-"])
+    args = cli._build_parser().parse_args(["sweep", "--config", "-"])
     assert args.lambda_max == 2 and args.seed == 42 and args.samples == 10**6
 
 
@@ -296,8 +297,8 @@ def test_one_point_db_grid(tmp_path, capsys):
     # --db-from equal to --db-to is a grid of one point: one row, the same
     # row a longer grid from that point starts with
     cfg = _write(tmp_path, "ric3.json", RIC3_TEXT)
-    for command in ("diversity", "sweep"):
-        args = [command, "--config", cfg, "--db-from", "20", "--db-step", "10", "--samples", "0", "--oracle"]
+    for command, extra in (("diversity", []), ("sweep", ["--samples", "0", "--oracle"])):
+        args = [command, "--config", cfg, "--db-from", "20", "--db-step", "10", *extra]
         assert cli.main(args + ["--db-to", "20"]) == EXIT_OK
         one = capsys.readouterr().out.splitlines()
         assert cli.main(args + ["--db-to", "30"]) == EXIT_OK
@@ -312,9 +313,24 @@ def test_one_point_db_grid(tmp_path, capsys):
 def test_db_grid_needs_ascending_range_and_positive_step(tmp_path, capsys, command, db_range):
     cfg = _write(tmp_path, "ray1.json", RAY1_TEXT)
     lo, hi, step = db_range
-    args = [command, "--config", cfg, "--db-from", lo, "--db-to", hi, "--db-step", step, "--samples", "0"]
-    assert cli.main(args) == EXIT_CONFIG
+    args = [command, "--config", cfg, "--db-from", lo, "--db-to", hi, "--db-step", step]
+    assert cli.main(args + (["--samples", "0"] if command == "sweep" else [])) == EXIT_CONFIG
     assert "need lo <= hi and step > 0" in capsys.readouterr().err
+
+
+def test_fine_db_grid_is_built_by_index(tmp_path, capsys):
+    # a step of 0.1 summed 542 times gives 54.200000000001; lo + i * step does not drift
+    cfg = _write(tmp_path, "ray1.json", RAY1_TEXT)
+    grid = ["--config", cfg, "--db-from", "0", "--db-to", "100", "--db-step", "0.1"]
+    out = tmp_path / "fine.csv"
+    assert cli.main(["sweep", *grid, "--samples", "0", "--out", str(out)]) == EXIT_OK
+    lines = out.read_text().splitlines()
+    assert len(lines) == 1 + 1001
+    assert lines[543].startswith("54.2,")
+    assert lines[-1].startswith("100.0,")
+    assert capsys.readouterr().out == ""
+    assert cli.main(["diversity", *grid]) == EXIT_OK
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 1001
 
 
 def test_diversity_command_fine_weibull_lattice(tmp_path, capsys):
@@ -416,6 +432,54 @@ def test_exit_codes(tmp_path, capsys):
     # the moment product underflows to 0 on contours far left of the leading pole
     assert cli.main(["asymptote", "--config", ray, "--re-min=-200"]) == EXIT_NUMERICAL
     assert "underflow" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# the options of each command
+# ---------------------------------------------------------------------------
+
+ALL_OPTIONS = ("--db-from", "--db-to", "--db-step", "--samples", "--seed", "--lambda-max",
+               "--re-min", "--out", "--oracle")
+# the options each command takes besides --config; any other is a usage error
+TAKES = {
+    "poles": ("--re-min",),
+    "asymptote": ("--lambda-max", "--re-min"),
+    "simulate": ("--db-from", "--samples", "--seed"),
+    "sweep": ALL_OPTIONS,
+    "diversity": ("--db-from", "--db-to", "--db-step"),
+}
+NEEDS = {"simulate": ["--db-from", "20"], "sweep": ["--db-from", "20", "--db-to", "30"],
+         "diversity": ["--db-from", "20", "--db-to", "30"]}
+DROPPED = [(command, option) for command in TAKES for option in ALL_OPTIONS if option not in TAKES[command]]
+
+
+@pytest.mark.parametrize("command", list(TAKES))
+def test_help_lists_only_the_options_of_the_command(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        cli._build_parser().parse_args([command, "--help"])
+    assert exc.value.code == 0
+    listed = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+    assert listed == {"--help", "--config", *TAKES[command]}
+
+
+@pytest.mark.parametrize(("command", "option"), DROPPED, ids=[f"{c}{o}" for c, o in DROPPED])
+def test_option_the_command_does_not_take_is_a_usage_error(tmp_path, capsys, command, option):
+    cfg = _write(tmp_path, "ray1.json", RAY1_TEXT)
+    value = [] if option == "--oracle" else ["1"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--config", cfg, *NEEDS.get(command, []), option, *value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(("command", "missing"), [("simulate", "--db-from"), ("sweep", "--db-to"),
+                                                  ("diversity", "--db-to")])
+def test_missing_needed_option_exits_2_and_names_it(tmp_path, capsys, command, missing):
+    cfg = _write(tmp_path, "ray1.json", RAY1_TEXT)
+    args = NEEDS[command][:NEEDS[command].index(missing)]
+    assert cli.main([command, "--config", cfg, *args]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"{command} needs " in err and missing in err
 
 
 def test_stdin_config(tmp_path, capsys, monkeypatch):
