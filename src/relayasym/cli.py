@@ -257,6 +257,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, needs, takes) in _DISPATCH.items():
         p = sub.add_parser(name)
+        p.set_defaults(usage_error=p.error)
         p.add_argument("--config", required=True,
                        help="path to the JSON network config, or - for stdin")
         for option in needs + takes:
@@ -272,7 +273,9 @@ def _read_config_text(path: str) -> str:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args, extra = _build_parser().parse_known_args(argv)
+    if extra:  # reported by the command's own parser, so the usage names it
+        args.usage_error(f"unrecognized arguments: {' '.join(extra)}")
     handler, needs, _ = _DISPATCH[args.command]
     # The handlers are ordered: the typed errors below are ValueErrors too.
     try:

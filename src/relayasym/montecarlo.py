@@ -1,7 +1,8 @@
 """Ground-truth engines: end-to-end SNR sampling, Monte Carlo outage
 estimation with exact binomial confidence intervals, and an exact
 quadrature oracle for networks of any length, by a backward recursion on a
-fixed log-gain grid.
+log-gain grid whose panel width is halved until the outage on panels of
+twice the width agrees with it.
 
 Randomness comes from counter-based Philox streams keyed by (seed, stream
 index), so results are reproducible and independent of how work is split
@@ -160,21 +161,23 @@ def estimate_outage(
 # Exact quadrature oracle
 # ---------------------------------------------------------------------------
 
-#: Log-gain window t = ln x of the oracle's fixed rule, and its panels.
+#: Log-gain window t = ln x of the oracle's rules, the panel width it starts
+#: from (it halves it down to PANEL_WIDTH / 8) and the nodes per panel.
 T_LO, T_HI = -45.0, 6.0
-PANEL_WIDTH = 0.5
+PANEL_WIDTH = 1.0
 GL_NODES = 16
 
 #: Rows per block of a hop's kernel: ROW_BLOCK * G // columns, so a block
-#: holds at most ROW_BLOCK x G points (16 x 1632 doubles, 0.2 MB) and the pdf
-#: temporaries of all workers together stay small where a whole middle-hop
-#: kernel would be 21 MB; hop N's one-column kernel is one block.  Each block
-#: is evaluated only on the columns where X_n <= e^T_HI for its first row,
-#: about 0.62 G^2 points a middle hop for r_n = 1; every point left out has
-#: X_n > e^T_HI, mass the stated error counts as P(X_n > e^T_HI).
+#: holds at most ROW_BLOCK x G points (16 x 816 doubles, 0.1 MB, at the start
+#: width and 0.8 MB at the finest), and the pdf temporaries of all workers
+#: together stay small where a whole middle-hop kernel would be 5-340 MB;
+#: hop N's one-column kernel is one block.  Each block is evaluated only on
+#: the columns where X_n <= e^T_HI for its first row, about 0.62 G^2 points
+#: a middle hop for r_n = 1; every point left out has X_n > e^T_HI, mass
+#: the stated error counts as P(X_n > e^T_HI).
 ROW_BLOCK = 16
 
-#: Largest gain mass the window may leave out, relative to the result.
+#: Largest stated error (omitted mass plus panel-doubling difference), relative to the result.
 ORACLE_RTOL = 1e-6
 
 
@@ -182,11 +185,12 @@ ORACLE_RTOL = 1e-6
 _legendre = functools.cache(np.polynomial.legendre.leggauss)
 
 
-def _quad():
-    """Nodes t and weights of the composite Gauss-Legendre rule on [T_LO, T_HI]."""
+def _quad(width: float):
+    """Nodes t and weights of the composite Gauss-Legendre rule on panels of
+    ``width`` from T_LO, the last of which ends at or before T_HI."""
     x, w = _legendre(GL_NODES)
-    half = 0.5 * PANEL_WIDTH
-    mid = np.arange(T_LO + half, T_HI, PANEL_WIDTH)[:, None]
+    half = 0.5 * width
+    mid = np.arange(T_LO + half, T_HI, width)[:, None]
     return (mid + half * x).ravel(), np.tile(half * w, mid.size)
 
 
@@ -212,8 +216,8 @@ def _nystrom_step(model, v: np.ndarray, wg: np.ndarray, t: np.ndarray, x: np.nda
     return g
 
 
-def _threshold_table(network: NetworkConfig):
-    """The gamma_bar-independent stage of the oracle: (v, wg, omitted).
+def _threshold_table(network: NetworkConfig, width: float):
+    """The gamma_bar-independent stage of the oracle on panels of ``width``: (v, wg, omitted).
 
     With U_{N+1} = 0 and U_n = (1 + r_n U_{n+1})/X_n, r_n = rho_{n+1}/rho_n,
     the chain is in outage when X_1 <= xi_1 V, V = 1 + r_1 U_2, so the outage
@@ -230,7 +234,7 @@ def _threshold_table(network: NetworkConfig):
     """
     v, wg, omitted = np.ones(1), np.ones(1), 0.0
     hops = network.hops
-    t, w = _quad()
+    t, w = _quad(width)
     x, es = np.exp(t), np.exp(-t)  # e^s at the reflected nodes s = -t
     for n in range(len(hops) - 1, 0, -1):
         model = hops[n].model
@@ -244,7 +248,7 @@ def _threshold_table(network: NetworkConfig):
 
 
 def oracle_outage(network: NetworkConfig, gamma_bar):
-    """Exact outage probability of an N-hop chain on a fixed log-gain grid.
+    """Exact outage probability of an N-hop chain on a log-gain grid sized by panel doubling.
 
     Elementwise on an array of gamma_bar, each finite and > 0 (scalar in,
     scalar out).  Hop 1 integrates out in closed form, so the outage is the
@@ -252,20 +256,38 @@ def oracle_outage(network: NetworkConfig, gamma_bar):
     F1 at the nodes of :func:`_threshold_table` with its weights per
     gamma_bar, the only step that depends on gamma_bar.  The table holds the
     density of ln U_2 at the nodes of composite 16-point Gauss-Legendre
-    panels on [-T_HI, -T_LO], the log-gain window [T_LO, T_HI] reflected,
-    from one Nystrom step for every hop n >= 2.  The stated error is the mass
-    the window leaves out; QuadratureConvergenceError is raised when it
-    exceeds ORACLE_RTOL of the result.
+    panels of width h on [-T_HI, -T_LO], the log-gain window [T_LO, T_HI]
+    reflected, from one Nystrom step for every hop n >= 2.  The outage P_h is
+    made at h = PANEL_WIDTH and at 2h (not for one hop, which has no step);
+    while |P_h - P_2h| exceeds ORACLE_RTOL of P_h at any gamma_bar, h is
+    halved and P_h becomes the coarse value, down to PANEL_WIDTH / 8.  The
+    result is P_h, and its stated error is the mass the window leaves out
+    plus |P_h - P_2h|.  QuadratureConvergenceError is raised past the finest
+    width, or when the stated error exceeds ORACLE_RTOL of the result.
     """
     gamma_bar = _finite_positive(gamma_bar)
-    v, wg, omitted = _threshold_table(network)
     first = network.hops[0].model
-    # One dot product per gamma_bar, so a sweep gives each point's value bit for bit.
-    value = np.array([cdf(first, xi1 * v) @ wg
-                      for xi1 in np.ravel(network.xi(gamma_bar)[0])]).reshape(gamma_bar.shape)
-    if np.any(omitted > ORACLE_RTOL * value):
+    xi1 = np.ravel(network.xi(gamma_bar)[0])
+
+    def outage(width):
+        v, wg, omitted = _threshold_table(network, width)
+        # One dot product per gamma_bar, so a sweep gives each point's value bit for bit.
+        return np.array([cdf(first, x * v) @ wg for x in xi1]), omitted
+
+    width = PANEL_WIDTH
+    value, omitted = outage(width)
+    coarse = outage(2.0 * width)[0] if len(network.hops) > 1 else value
+    while np.any(np.abs(value - coarse) > ORACLE_RTOL * value):
+        if width <= PANEL_WIDTH / 8:
+            raise QuadratureConvergenceError(f"panels of width {width:g} still move the outage by up to "
+                                             f"{np.max(np.abs(value - coarse) / value):.2e} of itself, "
+                                             f"above {ORACLE_RTOL:g}")
+        width /= 2.0
+        coarse, (value, omitted) = value, outage(width)
+    error = omitted + np.abs(value - coarse)
+    if np.any(error > ORACLE_RTOL * value):
         raise QuadratureConvergenceError(
-            f"log-gain window [{T_LO:g}, {T_HI:g}] leaves out gain mass {omitted:.2e}, "
-            f"above {ORACLE_RTOL:g} of the outage {np.min(value):.3e}"
+            f"log-gain window [{T_LO:g}, {T_HI:g}] leaves out gain mass {omitted:.2e}, which with the "
+            f"panel-doubling difference is above {ORACLE_RTOL:g} of the outage {np.min(value):.3e}"
         )
-    return value[()]
+    return value.reshape(gamma_bar.shape)[()]

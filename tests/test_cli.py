@@ -472,6 +472,16 @@ def test_option_the_command_does_not_take_is_a_usage_error(tmp_path, capsys, com
     assert f"unrecognized arguments: {option}" in capsys.readouterr().err
 
 
+def test_usage_error_names_the_command_and_its_options(tmp_path, capsys):
+    cfg = _write(tmp_path, "ray1.json", RAY1_TEXT)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["simulate", "--config", cfg, "--db-from", "20", "--out", "r.csv"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: relay-asym simulate ")
+    assert "--samples" in err and "relay-asym simulate: error: unrecognized arguments: --out r.csv" in err
+
+
 @pytest.mark.parametrize(("command", "missing"), [("simulate", "--db-from"), ("sweep", "--db-to"),
                                                   ("diversity", "--db-to")])
 def test_missing_needed_option_exits_2_and_names_it(tmp_path, capsys, command, missing):

@@ -154,9 +154,10 @@ def test_bench_tracer_contract(monkeypatch):
     assert tracer.draws("channels.sample") == 10_000
     assert tracer.calls("mellin.enumerate_poles") > 0
     assert tracer.calls("channels.log_moment") > 0
-    # the oracle looks up pdf and _quad as montecarlo globals
+    # the oracle looks up pdf and _quad as montecarlo globals; rayleigh3
+    # settles at the first pair of rules, widths 2 PANEL_WIDTH and PANEL_WIDTH
     assert tracer.calls("channels.pdf") > 0
-    assert tracer.calls("montecarlo.quad") == 1
+    assert tracer.calls("montecarlo.quad") == 2
 
 
 # Outage counts at gamma_bar = 10 dB, seed 20260418, in blocks of 2^18 with a
@@ -268,10 +269,10 @@ def test_oracle_rejects_gamma_bar_not_finite_positive(gamma_bar):
 def test_threshold_table_unit_mass_and_total():
     # N = 1 is the unit mass at v = 1; for N > 1 the weights hold the unit
     # mass of U_2 but what the window leaves out
-    v, wg, omitted = montecarlo._threshold_table(rayleigh_chain(1))
+    v, wg, omitted = montecarlo._threshold_table(rayleigh_chain(1), montecarlo.PANEL_WIDTH)
     assert (v.tolist(), wg.tolist(), omitted) == ([1.0], [1.0], 0.0)
     for name in ("nak3", "ric3", "hoyt4", "wei4"):
-        v, wg, omitted = montecarlo._threshold_table(REFERENCE_CONFIGS[name])
+        v, wg, omitted = montecarlo._threshold_table(REFERENCE_CONFIGS[name], montecarlo.PANEL_WIDTH)
         assert v.shape == wg.shape
         assert abs(wg.sum() - 1.0) <= omitted + 1e-14, name
 
@@ -281,7 +282,7 @@ def test_threshold_table_gives_leading_constant_off_last_hop():
     # x^m / Gamma(m + 1) as x -> 0, so p ~ C gamma_bar^-1.5 with
     # C = E[V^m] / Gamma(m + 1) at gamma_t = 1
     net = make_network([F.nakagami(m) for m in (1.5, 2.5, 3.5)])
-    v, wg, _ = montecarlo._threshold_table(net)
+    v, wg, _ = montecarlo._threshold_table(net, montecarlo.PANEL_WIDTH)
     constant = float(wg @ v**1.5) / math.gamma(2.5)
     assert abs(constant - 2.24302) <= 5e-6
     assert constant == pytest.approx(oracle_outage(net, 1e12) * 1e18, rel=1e-8)
@@ -356,9 +357,9 @@ def test_oracle_value_settled_under_panel_halving(monkeypatch):
     np.testing.assert_allclose(coarse, fine, rtol=1e-12, atol=0.0)
 
 
-def _full_kernel_oracle(net, gamma_bar):
-    """The 3-hop oracle with its middle-hop kernel evaluated at all G x G points."""
-    t, w = montecarlo._quad()
+def _full_kernel_oracle(net, gamma_bar, width):
+    """The 3-hop oracle on panels of ``width``, its middle-hop kernel evaluated at all G x G points."""
+    t, w = montecarlo._quad(width)
     x, es = np.exp(t), np.exp(-t)
     first, mid, last = net.hops
     wg = w * x * channels.pdf(last.model, x)
@@ -387,11 +388,18 @@ def test_oracle_kernel_evaluates_only_inside_window(monkeypatch, rhos):
             n_kernel += x.size
         return channels.pdf(model, x)
 
+    quad, widths = montecarlo._quad, []
+
+    def recording_quad(width):
+        widths.append(width)
+        return quad(width)
+
     monkeypatch.setattr(montecarlo, "pdf", counting_pdf)
+    monkeypatch.setattr(montecarlo, "_quad", recording_quad)
     value = oracle_outage(net, 1e4)
-    grid = montecarlo._quad()[0].size
-    assert 0 < n_kernel <= 0.65 * grid**2
-    assert value == pytest.approx(_full_kernel_oracle(net, 1e4), rel=1e-15, abs=0.0)
+    assert 0 < n_kernel <= 0.65 * sum(quad(width)[0].size ** 2 for width in widths)
+    # the value is that of the finest rule the call built
+    assert value == pytest.approx(_full_kernel_oracle(net, 1e4, min(widths)), rel=1e-15, abs=0.0)
 
 
 @pytest.mark.parametrize("name", ["ric3", "hoyt3", "nak8"])
@@ -449,6 +457,27 @@ def test_oracle_eight_hops_settled_under_panel_halving(monkeypatch):
     coarse = oracle_outage(nak8, gammas)
     monkeypatch.setattr(montecarlo, "PANEL_WIDTH", montecarlo.PANEL_WIDTH / 2)
     np.testing.assert_allclose(coarse, oracle_outage(nak8, gammas), rtol=1e-12, atol=0.0)
+
+
+def test_oracle_sharp_hops_settle_at_a_finer_rule():
+    # ln X of a Weibull m = 10 gain is about 1/10 wide: the start panels are
+    # 1.4e-5 off and 0.5-wide ones 1.7e-8, so the oracle halves the width
+    # until a rule and its doubled rule agree
+    net = make_network([F.weibull(10.0)] * 3)
+    gammas = 10.0 ** np.arange(0.0, 6.5, 0.5)  # 0-60 dB
+    value = oracle_outage(net, gammas)
+    v, wg, _ = montecarlo._threshold_table(net, montecarlo.PANEL_WIDTH / 8)
+    finest = np.array([channels.cdf(net.hops[0].model, xi1 * v) @ wg for xi1 in net.xi(gammas)[0]])
+    np.testing.assert_allclose(value, finest, rtol=1e-12, atol=0.0)
+
+
+def test_oracle_raises_past_the_finest_panel_width():
+    # ln X of a Weibull m = 1000 gain is about 1e-3 wide, far below the
+    # finest panels; hop N's kernel is one column, so each rule is cheap
+    net = make_network([F.nakagami(2.0), F.weibull(1000.0)])
+    # (x / theta)^1000 overflows to inf above x of about 2 and the density to 0
+    with np.errstate(over="ignore"), pytest.raises(QuadratureConvergenceError, match="width 0.125"):
+        oracle_outage(net, 100.0)
 
 
 def test_oracle_small_q_hoyt_first_hop():
