@@ -136,7 +136,9 @@ def pdf(model: FadingModel, x):
     x = np.asarray(x, dtype=float)
     y = np.maximum(x, 0.0)
     shape, theta = model.shape, model.scale
-    with np.errstate(divide="ignore"):
+    # y^(m-1) takes ln 0 at y = 0, and a large Weibull shape's (y/theta)^m
+    # overflows to inf; the density that follows is right either way
+    with np.errstate(divide="ignore", over="ignore"):
         if model.variant in (NAKAGAMI, WEIBULL):
             # omega/nu theta^-m y^(m-1) exp(-(y/theta)^omega), the unified density
             omega, nu = (1.0, math.gamma(shape)) if model.variant == NAKAGAMI else (shape, 1.0)
@@ -172,7 +174,8 @@ def cdf(model: FadingModel, x):
     if model.variant == NAKAGAMI:
         return gammainc(shape, x / theta)
     if model.variant == WEIBULL:
-        return -np.expm1(-((x / theta) ** shape))
+        with np.errstate(over="ignore"):  # (x/theta)^m = inf gives the right CDF 1
+            return -np.expm1(-((x / theta) ** shape))
     if model.variant == RICIAN:
         # noncentral chi-square with 2 degrees of freedom and noncentrality 2K
         k = shape

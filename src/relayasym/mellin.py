@@ -2,18 +2,18 @@
 truncated asymptotic outage expansion.
 
 The outage probability of an N-hop chain admits a formal series whose terms
-are contour integrals indexed by weak compositions of lambda_N; closing each
-contour through the left half-plane turns the series into a sum of residues
-at the poles of the per-hop moment functions.  Every residue of order k
-contributes a polynomial in ln(gamma_bar) of degree k-1 times a power of
-gamma_bar, and those polynomials are what :class:`AsymptoticExpansion`
-stores.
+are contour integrals indexed by nondecreasing shift tuples
+(lambda_1 = 0, ..., lambda_N); closing each contour through the left
+half-plane turns the series into a sum of residues at the poles of the
+per-hop moment functions.  Every residue of order k contributes a
+polynomial in ln(gamma_bar) of degree k-1 times a power of gamma_bar, and
+those polynomials are what :class:`AsymptoticExpansion` stores.
 
-One routine, ``_residues``, takes one composition term, given by its shifts
-(lambda_1 = 0, ..., lambda_N), to its residues: it merges the term's real
-(location, order) poles in the window (:func:`enumerate_poles`), sizes each
-contour by the nearest other pole, and extracts the Laurent data by
-:func:`residue_at`.  :func:`leading_term` takes the first residue of the
+One routine, ``_residues``, takes one term, given by its shifts, to its
+residues: it merges the term's real (location, order) poles in the window
+(:func:`enumerate_poles`), sizes each contour by the nearest other pole,
+and reads the Laurent data off one FFT of the contour samples
+(:func:`residue_at`).  :func:`leading_term` takes the first residue of the
 lambda_N = 0 term; :func:`build_expansion` sums the residues of every term
 by exponent, and its truncation check compares the sum of all orders with
 the sum of the orders below lambda_max.  Each hop's poles are the floats
@@ -116,30 +116,25 @@ class AsymptoticExpansion:
     network: NetworkConfig
 
 
-def weak_compositions(total: int, parts: int):
-    """Yield all ordered tuples of `parts` nonnegative integers summing to total."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in weak_compositions(total - first, parts - 1):
-            yield (first,) + rest
+def _shift_terms(network: NetworkConfig, lam: int):
+    """Yield (shifts, coefficient) for each series term with lambda_N = lam.
 
-
-def composition_term(network: NetworkConfig, ell: tuple[int, ...]) -> tuple[tuple[int, ...], float]:
-    """Prefix sums (lambda_1 = 0, ..., lambda_N) and coefficient of one weak composition."""
-    n = network.n_hops
-    if len(ell) != n - 1:
-        raise ValueError(f"composition must have {n - 1} parts, got {len(ell)}")
+    The shifts (0, lambda_2, ..., lambda_N = lam) are nondecreasing, in
+    lexicographic order; the coefficient is
+    prod_j (-rho_j/rho_N)^(lambda_{j+1}-lambda_j) / (lambda_{j+1}-lambda_j)!.
+    A one-hop network has the lambda = 0 term (0,) alone.
+    """
+    if network.n_hops == 1:
+        if lam == 0:
+            yield (0,), 1.0
+        return
     rho_n = network.hops[-1].rho
-    coeff = 1.0
-    for hop, l_j in zip(network.hops, ell):
-        coeff *= (-hop.rho / rho_n) ** l_j / math.factorial(l_j)
-    return tuple(itertools.accumulate(ell, initial=0)), coeff
+    for mid in itertools.combinations_with_replacement(range(lam + 1), network.n_hops - 2):
+        shifts = (0, *mid, lam)
+        coeff = 1.0
+        for hop, lo, hi in zip(network.hops, shifts, shifts[1:]):
+            coeff *= (-hop.rho / rho_n) ** (hi - lo) / math.factorial(hi - lo)
+        yield shifts, coeff
 
 
 def _pole_contributions(network, shifts, re_min):
@@ -180,7 +175,7 @@ def _merge_contributions(contribs) -> list[tuple[float, int]]:
 
 
 def enumerate_poles(network: NetworkConfig, shifts, re_min: float) -> list[tuple[float, int]]:
-    """Merged (location, order) poles of one composition term's integrand in s >= re_min.
+    """Merged (location, order) poles of one series term's integrand in s >= re_min.
 
     Combines the per-hop moment lattices, shifted left by ``shifts``, with
     the poles/zeros of the gamma(s+lambda_N)/gamma(s+1) prefactor, where
@@ -192,15 +187,14 @@ def enumerate_poles(network: NetworkConfig, shifts, re_min: float) -> list[tuple
 
 
 def _term_integrand(network: NetworkConfig, shifts, rings: dict):
-    """The residue-engine integrand of one composition term, minus xi^-s.
+    """The residue-engine integrand of one series term, minus xi^-s.
 
     Takes a whole array of nodes: one log_moment ring per hop, times the
     prefactor gamma(s+lambda_N)/gamma(s+1), which is 1/s for lambda_N = 0
     and the polynomial prod_{i=1..lambda_N-1}(s+i) otherwise.  ``rings``
     memoises those rings by (model, exact node bytes); the terms of one
-    expansion share it, so a shifted ring that several weak compositions
-    and poles meet is evaluated once, and a hit is the array a fresh call
-    would return.
+    expansion share it, so a shifted ring that several terms and poles
+    meet is evaluated once, and a hit is the array a fresh call would return.
     """
     models = [hop.model for hop in network.hops]
     lambda_n = shifts[-1]
@@ -220,53 +214,38 @@ def _term_integrand(network: NetworkConfig, shifts, rings: dict):
     return f
 
 
-def _extract_derivatives(ring, fv, k: int, s0: float) -> tuple[list[float], float]:
-    """H^(n)(s0) for n < k, where H(s) = (s-s0)^k f(s), via Fourier extraction.
+def residue_at(f, s0: float, k: int, context: float) -> list[float]:
+    """Laurent data of f at a real pole s0 of order k, reduced where spurious.
 
-    Also returns max |H| on the contour, the scale of those derivatives.
+    Returns [H(s0), H'(s0), ..., H^(k-1)(s0)] for H(s) = (s-s0)^k f(s).
+    One FFT of H on a circle of radius r = min(0.4*context, 0.5) gives its
+    Taylor coefficients fft[n] / nodes / r^n: the trapezoidal rule, spectrally
+    accurate and free of the cancellation of high-order finite differences.
+    k drops while |H(s0)| is numerically zero (a hypergeometric zero
+    cancelling a gamma pole): H/(s-s0) has H's coefficients shifted by one
+    and scale max |H| / r, so len(result) is the effective order.  f must
+    take the whole array of contour nodes in one call.
     """
-    h_ring = ring**k * fv
+    radius = min(RADIUS_SAFETY * context, MAX_CONTOUR_RADIUS)
+    ring = radius * np.exp(2j * math.pi * np.arange(CONTOUR_NODES) / CONTOUR_NODES)
+    h_ring = ring**k * f(s0 + ring)
     mags = np.abs(h_ring)
-    lo, hi = mags.min(), mags.max()
-    if hi == 0.0:
+    lo, scale = mags.min(), mags.max()
+    if scale == 0.0:
         raise IllConditionedContourError(
             f"the moment product underflows to 0 on the contour around the pole at "
             f"s = {s0:g}, too far left of the leading pole; a --re-min (re_min) "
             f"nearer the leading pole avoids it"
         )
-    if lo == 0.0 or hi / lo > _CONDITION_LIMIT:
+    if lo == 0.0 or scale / lo > _CONDITION_LIMIT:
         raise IllConditionedContourError(
-            f"|H| spans a ratio of {hi / max(lo, 5e-324):.3e} on the contour"
+            f"|H| spans a ratio of {scale / max(lo, 5e-324):.3e} on the contour"
         )
-    radius = abs(ring[0])
-    phases = ring / radius
-    out = []
-    for n in range(k):
-        coeff = np.mean(h_ring * phases ** (-n)) * math.factorial(n) / radius**n
-        out.append(float(coeff.real))
-    return out, float(hi)
-
-
-def residue_at(f, s0: float, k: int, context: float) -> list[float]:
-    """Laurent data of f at a real pole s0 of order k, reduced where spurious.
-
-    Returns [H(s0), H'(s0), ..., H^(k-1)(s0)] for H(s) = (s-s0)^k f(s),
-    computed by trapezoidal quadrature on a circle of radius
-    min(0.4*context, 0.5); spectrally accurate and free of the cancellation
-    that high-order finite differences would suffer.  k drops while |H(s0)|
-    is numerically zero (a hypergeometric zero cancelling a gamma pole), so
-    len(result) is the effective order.  f must take the whole array of
-    contour nodes in one call.
-    """
-    radius = min(RADIUS_SAFETY * context, MAX_CONTOUR_RADIUS)
-    ring = radius * np.exp(2j * math.pi * np.arange(CONTOUR_NODES) / CONTOUR_NODES)
-    fv = f(s0 + ring)
-    while True:
-        derivs, scale = _extract_derivatives(ring, fv, k, s0)
-        if k > 1 and abs(derivs[0]) < ORDER_DROP_TOL * scale:
-            k -= 1
-            continue
-        return derivs
+    taylor = np.fft.fft(h_ring)[:k].real / CONTOUR_NODES / radius ** np.arange(k)
+    while len(taylor) > 1 and abs(taylor[0]) < ORDER_DROP_TOL * scale:
+        taylor = taylor[1:]
+        scale /= radius
+    return [float(c) * math.factorial(n) for n, c in enumerate(taylor)]
 
 
 def _rebase_coefficients(multiplier: float, derivs, s0: float, a_scale: float):
@@ -300,7 +279,7 @@ def leading_pole(network: NetworkConfig) -> tuple[float, int]:
 
 
 def _residues(network: NetworkConfig, shifts, re_min: float, rings: dict):
-    """Yield (location, Laurent data) at each pole of one composition term's integrand.
+    """Yield (location, Laurent data) at each pole of one series term's integrand.
 
     Poles with Re(s) >= re_min, rightmost first, as :func:`residue_at`
     returns them; the lambda_N = 0 pole at the origin is skipped, because
@@ -367,7 +346,7 @@ def build_expansion(
 ) -> AsymptoticExpansion:
     """Assemble the truncated outage expansion.
 
-    Sums residues of every weak-composition term with lambda_N <= lambda_max
+    Sums residues of every series term with lambda_N <= lambda_max
     at all integrand poles with Re(s) >= re_min (default: 1.5 to the left of
     the rightmost pole of G).  The lambda_N = 0 residue at the origin equals
     1 and cancels the leading 1 of the outage formula, so it never appears as
@@ -394,8 +373,7 @@ def build_expansion(
     rings: dict = {}  # log_moment rings shared by every term of this build
     entries = []  # (lambda_N, exponent, coefficients), one per residue
     for lam in range(lambda_max + 1):
-        for ell in weak_compositions(lam, network.n_hops - 1):
-            shifts, coeff = composition_term(network, ell)
+        for shifts, coeff in _shift_terms(network, lam):
             for loc, derivs in _residues(network, shifts, re_min, rings):
                 entries.append((lam, loc, _rebase_coefficients(-coeff, derivs, loc, a_scale)))
     expansion = AsymptoticExpansion(_collect(entries), lambda_max, re_min, network)

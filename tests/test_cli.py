@@ -434,6 +434,23 @@ def test_exit_codes(tmp_path, capsys):
     assert "underflow" in capsys.readouterr().err
 
 
+def test_sweep_oracle_on_sharp_weibull_hops_fails_without_runtime_warnings(tmp_path):
+    # (x / theta)^40 overflows to inf on the oracle's window, where the density
+    # is 0 and the CDF 1; the finest panels are still too coarse, so the sweep
+    # stops with a numerical failure and no numpy warning on stderr
+    doc = {"gamma_t_db": 0.0, "hops": [{"fading": "weibull", "m": 40.0}] * 2}
+    cfg = _write(tmp_path, "wei40.json", json.dumps(doc))
+    proc = subprocess.run(
+        [sys.executable, "-m", "relayasym.cli", "sweep", "--config", cfg,
+         "--db-from", "10", "--db-to", "20", "--samples", "0", "--oracle"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(relayasym.__file__).parents[1])},
+    )
+    assert proc.returncode == EXIT_NUMERICAL
+    assert "RuntimeWarning" not in proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # the options of each command
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ EULER_GAMMA = 0.5772156649015329
 
 
 # ---------------------------------------------------------------------------
-# network config and composition bookkeeping
+# network config and series-term bookkeeping
 # ---------------------------------------------------------------------------
 
 
@@ -32,22 +32,29 @@ def test_network_validation():
         make_network([F.nakagami(1.0)], gamma_t=0.0)
 
 
-def test_weak_compositions():
-    assert list(mellin.weak_compositions(1, 1)) == [(1,)]
-    got = set(mellin.weak_compositions(2, 3))
-    assert got == {(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1)}
-    assert list(mellin.weak_compositions(0, 0)) == [()]
-    assert list(mellin.weak_compositions(1, 0)) == []
+def test_shift_terms_order_and_count():
+    net3 = make_network([F.nakagami(1.0)] * 3)
+    got = [shifts for shifts, _ in mellin._shift_terms(net3, 2)]
+    assert got == [(0, 0, 2), (0, 1, 2), (0, 2, 2)]
+    for n in range(2, 9):
+        net = make_network([F.nakagami(1.0)] * n)
+        for lam in range(5):
+            got = [shifts for shifts, _ in mellin._shift_terms(net, lam)]
+            assert got == sorted(set(got)), (n, lam)  # distinct, lexicographic
+            assert len(got) == math.comb(lam + n - 2, n - 2), (n, lam)
+            assert all(s[0] == 0 and s[-1] == lam and list(s) == sorted(s) for s in got)
+    net1 = make_network([F.nakagami(1.0)])
+    assert [shifts for shifts, _ in mellin._shift_terms(net1, 0)] == [(0,)]
+    assert list(mellin._shift_terms(net1, 1)) == []
 
 
-def test_composition_term_fields():
+def test_shift_terms_coefficient():
     net = make_network([F.nakagami(1.0)] * 4, rhos=[1.0, 2.0, 3.0, 4.0])
-    shifts, coefficient = mellin.composition_term(net, (1, 0, 2))
-    assert shifts[-1] == 3
-    assert shifts == (0, 1, 1, 3)
-    # prod (-rho_j/rho_N)^l_j / l_j! = (-1/4) * (-3/4)^2/2
+    coefficient = dict(mellin._shift_terms(net, 3))[(0, 1, 1, 3)]
+    # prod (-rho_j/rho_N)^(lambda_{j+1}-lambda_j) / (lambda_{j+1}-lambda_j)! = (-1/4) * (-3/4)^2/2
     assert coefficient == pytest.approx((-0.25) * (0.75**2) / 2.0, rel=1e-14)
-    assert math.copysign(1.0, coefficient) == (-1.0) ** shifts[-1]
+    for shifts, coefficient in mellin._shift_terms(net, 3):
+        assert math.copysign(1.0, coefficient) == (-1.0) ** shifts[-1], shifts
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +105,7 @@ def test_enumerate_poles_prefactor_zero_cancellation():
     ric3 = REFERENCE_CONFIGS["ric3"]
     poles = mellin.enumerate_poles(ric3, (0, 0, 2), -2.5)
     assert (-1.0, 1) in poles  # order 2 from two hops, minus the zero
-    # and a composition where the single moment pole is fully cancelled
+    # and a term where the single moment pole is fully cancelled
     poles = mellin.enumerate_poles(ric3, (0, 2, 2), -1.5)
     assert all(abs(loc + 1.0) > 1e-9 for loc, _ in poles)
 
@@ -143,6 +150,20 @@ def test_residue_at_drops_spurious_order():
     net = make_network([F.rician(1.0), F.nakagami(1.0)])
     derivs = mellin.residue_at(lambda s: product_moment(net, s), -2.0, 2, 1.0)
     assert len(derivs) == 1
+
+
+def test_residue_at_drops_two_orders_in_one_call():
+    # H = (s - 0.3)^3 f vanishes to second order at the pole
+    f = lambda s: np.exp(2.0 * s) / (s - 0.3)
+    derivs = mellin.residue_at(f, 0.3, 3, 1.0)
+    assert len(derivs) == 1
+    assert derivs[0] == pytest.approx(math.exp(0.6), rel=1e-12)
+
+
+def test_residue_at_triple_pole_derivatives():
+    f = lambda s: np.exp(2.0 * s) / (s - 0.3) ** 3
+    derivs = mellin.residue_at(f, 0.3, 3, 1.0)
+    np.testing.assert_allclose(derivs, np.array([1.0, 2.0, 4.0]) * math.exp(0.6), rtol=1e-12)
 
 
 def test_residue_ill_conditioned_contour():
@@ -390,7 +411,7 @@ def test_build_expansion_at_hoyt_q_floor_raises_typed_error():
 
 
 def test_build_expansion_evaluates_each_ring_once(monkeypatch):
-    # the 120 weak compositions of an 8-hop chain at lambda = 3 meet the same
+    # the 120 shift tuples of an 8-hop chain at lambda = 3 meet the same
     # shifted per-hop rings; a build evaluates each (model, nodes) ring once
     # and keeps none of them for the next build
     net = make_network([F.nakagami(m) for m in (2.2, 1.8, 1.6, 2.5, 2.1, 2.9, 1.7, 1.3)])
@@ -474,15 +495,13 @@ def test_lambda_2_coefficients_unchanged(reference_configs):
 def test_rightmost_pole_dominance(reference_configs):
     for name, net in reference_configs.items():
         s0, _ = mellin.leading_pole(net)
-        n = net.n_hops
         for lam in range(0, 3):
-            for ell in mellin.weak_compositions(lam, n - 1):
-                shifts, _ = mellin.composition_term(net, ell)
+            for shifts, _ in mellin._shift_terms(net, lam):
                 poles = mellin.enumerate_poles(net, shifts, s0 - 1.5)
                 for loc, order in poles:
                     if lam == 0 and abs(loc) < 1e-9:
                         continue
-                    assert loc <= s0 + 1e-12, (name, ell, loc, order)
+                    assert loc <= s0 + 1e-12, (name, shifts, loc, order)
 
 
 def test_positivity_on_reference_configs(reference_configs):
