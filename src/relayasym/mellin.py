@@ -9,14 +9,18 @@ per-hop moment functions.  Every residue of order k contributes a
 polynomial in ln(gamma_bar) of degree k-1 times a power of gamma_bar, and
 those polynomials are what :class:`AsymptoticExpansion` stores.
 
-One routine, ``_residues``, takes one term, given by its shifts, to its
-residues: it merges the term's real (location, order) poles in the window
-(:func:`enumerate_poles`), sizes each contour by the nearest other pole,
-and reads the Laurent data off one FFT of the contour samples
-(:func:`residue_at`).  :func:`leading_term` takes the first residue of the
-lambda_N = 0 term; :func:`build_expansion` sums the residues of every term
-by exponent, and its truncation check compares the sum of all orders with
-the sum of the orders below lambda_max.  Each hop's poles are the floats
+Residues are planned, then evaluated together.  ``_residue_poles`` plans
+one term's residues, given its shifts: it merges the term's real
+(location, order) poles in the window (:func:`enumerate_poles`) and sizes
+each contour by the nearest other pole.  ``_residues`` evaluates a list of
+planned residues: one log_moment call per distinct hop model on every
+distinct shifted ring they meet (``_ring_tables``), then the Laurent data
+of a block of residues at a time off one FFT of their contour samples
+(:func:`residue_at`).  :func:`leading_term` evaluates the first residue of
+the lambda_N = 0 term; :func:`build_expansion` plans the residues of every
+term, evaluates them in one pass and sums them by exponent, and its
+truncation check compares the sum of all orders with the sum of the orders
+below lambda_max.  Each hop's poles are the floats
 r0 - step*j that :func:`relayasym.channels.mellin_poles` lists; it refuses
 a window of more than ``MAX_LATTICE_POLES`` poles; :func:`leading_pole`
 lists none.  The expansion is a series in 1/gamma_bar and ln(gamma_bar),
@@ -25,6 +29,7 @@ so it is evaluated only for gamma_bar > 1.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
@@ -59,6 +64,10 @@ RADIUS_SAFETY = 0.4
 ORDER_DROP_TOL = 1e-10
 
 _CONDITION_LIMIT = 1e12
+
+#: Residues that one :func:`residue_at` call takes within a build: its
+#: (residues, nodes) work arrays stay at 32 kB each.
+RESIDUE_BLOCK = 32
 
 DEFAULT_LAMBDA_MAX = 2
 DEFAULT_RE_MIN_OFFSET = 1.5
@@ -186,66 +195,133 @@ def enumerate_poles(network: NetworkConfig, shifts, re_min: float) -> list[tuple
     return [(loc, order) for loc, order in sorted(merged, reverse=True) if order > 0]
 
 
-def _term_integrand(network: NetworkConfig, shifts, rings: dict):
-    """The residue-engine integrand of one series term, minus xi^-s.
+def _ring(context: np.ndarray):
+    """Radii and node offsets of the residue contours, one row per pole.
 
-    Takes a whole array of nodes: one log_moment ring per hop, times the
-    prefactor gamma(s+lambda_N)/gamma(s+1), which is 1/s for lambda_N = 0
-    and the polynomial prod_{i=1..lambda_N-1}(s+i) otherwise.  ``rings``
-    memoises those rings by (model, exact node bytes); the terms of one
-    expansion share it, so a shifted ring that several terms and poles
-    meet is evaluated once, and a hit is the array a fresh call would return.
+    The radius is r = min(0.4*context, 0.5), where context is the distance
+    to the nearest other pole; row i holds r_i exp(2 pi i n / nodes).
+    """
+    radius = np.minimum(RADIUS_SAFETY * context, MAX_CONTOUR_RADIUS)
+    return radius, radius[:, None] * np.exp(2j * math.pi * np.arange(CONTOUR_NODES) / CONTOUR_NODES)
+
+
+def _distinct_rows(a: np.ndarray):
+    """(first, inverse) of np.unique over the rows of a 2-D array, compared byte for byte."""
+    keys = a.view(np.dtype((np.void, a.itemsize * a.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return first, inverse
+
+
+def _ring_tables(network: NetworkConfig, shifts: np.ndarray, s0: np.ndarray, context: np.ndarray):
+    """Every log_moment ring of a batch of residues, each evaluated once.
+
+    Row r of the batch is the series term with shifts ``shifts[r]`` on the
+    :func:`residue_at` contour around s0[r].  Hop j meets the ring at the
+    contour nodes s + lambda_j; each distinct hop model takes one log_moment
+    call on the distinct rings its hops meet, compared byte for byte, so a
+    shifted ring that several terms and poles meet is evaluated once.
+    Returns, per hop, the table of rings and the table row of each batch row.
     """
     models = [hop.model for hop in network.hops]
-    lambda_n = shifts[-1]
-
-    def log_ring(model, nodes: np.ndarray) -> np.ndarray:
-        key = (model, nodes.tobytes())
-        if key not in rings:
-            rings[key] = log_moment(model, nodes)
-        return rings[key]
-
-    def f(s: np.ndarray) -> np.ndarray:
-        acc = sum(log_ring(model, s + lam_j) for model, lam_j in zip(models, shifts))
-        if lambda_n == 0:
-            return (1.0 / s) * np.exp(acc)
-        return math.prod((s + i for i in range(1, lambda_n)), start=1.0 + 0.0j) * np.exp(acc)
-
-    return f
+    rings = [None] * len(models)
+    for model in dict.fromkeys(models):
+        hops = [j for j, m in enumerate(models) if m == model]
+        # (pole, context, shift) of each ring, then its nodes (s0 + ring) + lambda_j
+        keys = np.concatenate([np.stack([s0, context, shifts[:, j]], axis=1) for j in hops])
+        first, index = _distinct_rows(keys)
+        nodes = keys[first, :1] + _ring(keys[first, 1])[1] + keys[first, 2:]
+        first, inverse = _distinct_rows(nodes)
+        table = log_moment(model, nodes[first])
+        for i, j in enumerate(hops):
+            rings[j] = table, inverse[index[i * len(s0):(i + 1) * len(s0)]]
+    return rings
 
 
-def residue_at(f, s0: float, k: int, context: float) -> list[float]:
-    """Laurent data of f at a real pole s0 of order k, reduced where spurious.
+def _integrand(rings, lambda_n: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The residue-engine integrand of series terms on their contours, minus xi^-s.
 
-    Returns [H(s0), H'(s0), ..., H^(k-1)(s0)] for H(s) = (s-s0)^k f(s).
-    One FFT of H on a circle of radius r = min(0.4*context, 0.5) gives its
-    Taylor coefficients fft[n] / nodes / r^n: the trapezoidal rule, spectrally
-    accurate and free of the cancellation of high-order finite differences.
-    k drops while |H(s0)| is numerically zero (a hypergeometric zero
-    cancelling a gamma pole): H/(s-s0) has H's coefficients shifted by one
-    and scale max |H| / r, so len(result) is the effective order.  f must
-    take the whole array of contour nodes in one call.
+    Row r of s is a contour of the term whose hop rings are the rows
+    table[index[r]] of ``rings`` (summed in hop order) and whose last shift
+    is lambda_n[r]: the product of the rings times the prefactor
+    gamma(s+lambda_N)/gamma(s+1), which is 1/s for lambda_N = 0 and the
+    polynomial prod_{i=1..lambda_N-1}(s+i) otherwise.
     """
-    radius = min(RADIUS_SAFETY * context, MAX_CONTOUR_RADIUS)
-    ring = radius * np.exp(2j * math.pi * np.arange(CONTOUR_NODES) / CONTOUR_NODES)
-    h_ring = ring**k * f(s0 + ring)
+    values = np.exp(sum(table[index] for table, index in rings))
+    for lam in set(lambda_n.tolist()):
+        rows = lambda_n == lam
+        z = s[rows]
+        prefactor = 1.0 / z if lam == 0 else math.prod((z + i for i in range(1, lam)), start=1.0 + 0.0j)
+        values[rows] = np.multiply(prefactor, values[rows])
+    return values
+
+
+def residue_at(f, s0, k, context):
+    """Laurent data of f at real poles s0 of orders k, reduced where spurious.
+
+    Returns [H(s0), H'(s0), ..., H^(k-1)(s0)] for H(s) = (s-s0)^k f(s); given
+    arrays of (s0, k, context), one such list per pole.  One FFT of H on a
+    circle of radius r = min(0.4*context, 0.5) gives its Taylor coefficients
+    fft[n] / nodes / r^n: the trapezoidal rule, spectrally accurate and free
+    of the cancellation of high-order finite differences.  k drops while
+    |H(s0)| is numerically zero (a hypergeometric zero cancelling a gamma
+    pole): H/(s-s0) has H's coefficients shifted by one and scale max |H| / r,
+    so a list's length is the effective order.  f takes all the contours in
+    one call, as an (R, nodes) array with a row per pole, and returns a new
+    array; the first pole whose contour underflows or is ill-conditioned
+    raises.
+    """
+    scalar = np.ndim(s0) == 0
+    s0, k, context = (np.atleast_1d(x) for x in (s0, k, context))
+    radius, ring = _ring(context)
+    h_ring = f(s0[:, None] + ring)
+    for order in set(k.tolist()):
+        rows = k == order
+        # operands in this order: numpy's complex product is not bit-symmetric
+        h_ring[rows] = np.multiply(ring[rows] ** order, h_ring[rows])
     mags = np.abs(h_ring)
-    lo, scale = mags.min(), mags.max()
-    if scale == 0.0:
+    lo, scale = mags.min(axis=-1), mags.max(axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bad = (scale == 0.0) | (lo == 0.0) | (scale / lo > _CONDITION_LIMIT)
+    if bad.any():
+        r = int(np.argmax(bad))
+        if scale[r] == 0.0:
+            raise IllConditionedContourError(
+                f"the moment product underflows to 0 on the contour around the pole at "
+                f"s = {s0[r]:g}, too far left of the leading pole; a --re-min (re_min) "
+                f"nearer the leading pole avoids it"
+            )
         raise IllConditionedContourError(
-            f"the moment product underflows to 0 on the contour around the pole at "
-            f"s = {s0:g}, too far left of the leading pole; a --re-min (re_min) "
-            f"nearer the leading pole avoids it"
+            f"|H| spans a ratio of {scale[r] / max(lo[r], 5e-324):.3e} on the contour"
         )
-    if lo == 0.0 or scale / lo > _CONDITION_LIMIT:
-        raise IllConditionedContourError(
-            f"|H| spans a ratio of {scale / max(lo, 5e-324):.3e} on the contour"
-        )
-    taylor = np.fft.fft(h_ring)[:k].real / CONTOUR_NODES / radius ** np.arange(k)
-    while len(taylor) > 1 and abs(taylor[0]) < ORDER_DROP_TOL * scale:
-        taylor = taylor[1:]
-        scale /= radius
-    return [float(c) * math.factorial(n) for n, c in enumerate(taylor)]
+    spectra = np.fft.fft(h_ring, axis=-1)
+    out = []
+    for spectrum, order, rad, top in zip(spectra, k.tolist(), radius.tolist(), scale):
+        taylor = spectrum[:order].real / CONTOUR_NODES / rad ** np.arange(order)
+        while len(taylor) > 1 and abs(taylor[0]) < ORDER_DROP_TOL * top:
+            taylor = taylor[1:]
+            top /= rad
+        out.append([float(c) * math.factorial(n) for n, c in enumerate(taylor)])
+    return out[0] if scalar else out
+
+
+def _residues(network: NetworkConfig, jobs) -> list[list[float]]:
+    """Laurent data of each residue job (shifts, location, order, context), in order.
+
+    One :func:`_ring_tables` pass evaluates every ring the jobs meet; then
+    :func:`residue_at` takes the jobs RESIDUE_BLOCK at a time, so its work
+    arrays stay small whatever the number of jobs, and the first offending
+    job raises.
+    """
+    if not jobs:
+        return []
+    shifts, s0, k, context = (np.array(column) for column in zip(*jobs))
+    rings = _ring_tables(network, shifts, s0, context)
+    out = []
+    for lo in range(0, len(jobs), RESIDUE_BLOCK):
+        rows = slice(lo, lo + RESIDUE_BLOCK)
+        f = functools.partial(_integrand, [(table, index[rows]) for table, index in rings], shifts[rows, -1])
+        out += residue_at(f, s0[rows], k[rows], context[rows])
+    return out
 
 
 def _rebase_coefficients(multiplier: float, derivs, s0: float, a_scale: float):
@@ -278,23 +354,21 @@ def leading_pole(network: NetworkConfig) -> tuple[float, int]:
     return s0, sum(s0 - r0 < POLE_MERGE_TOL for r0 in r0s)
 
 
-def _residues(network: NetworkConfig, shifts, re_min: float, rings: dict):
-    """Yield (location, Laurent data) at each pole of one series term's integrand.
+def _residue_poles(network: NetworkConfig, shifts, re_min: float):
+    """Yield (location, order, context) for each residue of one series term's integrand.
 
-    Poles with Re(s) >= re_min, rightmost first, as :func:`residue_at`
-    returns them; the lambda_N = 0 pole at the origin is skipped, because
-    its residue 1 cancels the leading 1 of the outage formula.  Each
-    contour's radius is set by the nearest other pole, looked for down to
-    re_min - 2.
+    Poles with Re(s) >= re_min, rightmost first, as :func:`residue_at` takes
+    them; the lambda_N = 0 pole at the origin is skipped, because its residue
+    1 cancels the leading 1 of the outage formula.  Each contour's radius is
+    set by the nearest other pole, looked for down to re_min - 2.
     """
     poles = enumerate_poles(network, shifts, re_min)
     wide = [loc for loc, _ in _pole_contributions(network, shifts, re_min - 2.0)]
-    f = _term_integrand(network, shifts, rings)
     for loc, order in poles:
         if shifts[-1] == 0 and abs(loc) < POLE_MERGE_TOL:
             continue
         context = min((abs(loc - o) for o in wide if abs(loc - o) >= POLE_MERGE_TOL), default=math.inf)
-        yield loc, residue_at(f, loc, order, context)
+        yield loc, order, context
 
 
 def leading_term(network: NetworkConfig):
@@ -306,7 +380,9 @@ def leading_term(network: NetworkConfig):
     order is -s0.
     """
     s0, _ = leading_pole(network)
-    loc, derivs = next(_residues(network, (0,) * network.n_hops, s0 - 0.5, {}))
+    shifts = (0,) * network.n_hops
+    loc, order, context = next(_residue_poles(network, shifts, s0 - 0.5))
+    [derivs] = _residues(network, [(shifts, loc, order, context)])
     a_scale = network.gamma_t * network.hops[-1].rho
     coeffs = _rebase_coefficients(-1.0, derivs, loc, a_scale)
     return AsymptoteTerm(loc, tuple(coeffs)), loc, len(derivs)
@@ -370,12 +446,15 @@ def build_expansion(
     if re_min is None:
         re_min = s0 - DEFAULT_RE_MIN_OFFSET
     a_scale = network.gamma_t * network.hops[-1].rho
-    rings: dict = {}  # log_moment rings shared by every term of this build
-    entries = []  # (lambda_N, exponent, coefficients), one per residue
-    for lam in range(lambda_max + 1):
-        for shifts, coeff in _shift_terms(network, lam):
-            for loc, derivs in _residues(network, shifts, re_min, rings):
-                entries.append((lam, loc, _rebase_coefficients(-coeff, derivs, loc, a_scale)))
+    # plan every residue of the build, (lambda_N, coefficient, job), then evaluate them in one pass
+    plan = [(lam, coeff, (shifts, *pole))
+            for lam in range(lambda_max + 1)
+            for shifts, coeff in _shift_terms(network, lam)
+            for pole in _residue_poles(network, shifts, re_min)]
+    laurent = _residues(network, [job for _, _, job in plan])
+    # (lambda_N, exponent, coefficients), one per residue
+    entries = [(lam, job[1], _rebase_coefficients(-coeff, derivs, job[1], a_scale))
+               for (lam, coeff, job), derivs in zip(plan, laurent)]
     expansion = AsymptoticExpansion(_collect(entries), lambda_max, re_min, network)
 
     if warn_gamma_bar is not None and lambda_max >= 1:

@@ -25,6 +25,10 @@ KUMMER_Z_BOUND = 30.0
 
 _MAX_SERIES_TERMS = 20000
 
+#: Most (element, polar node) pairs one :func:`gauss_2f1` step holds, 256 kB
+#: of complex temporary (one element per step if it has more nodes).
+_GAUSS_CHUNK = 1 << 14
+
 
 def log_gamma(z):
     """Principal branch of log-gamma, analytic off the negative real axis.
@@ -40,10 +44,11 @@ def kummer_1f1(a, z: float):
     """Confluent hypergeometric function 1F1(a; 1; z) for real z, elementwise in a.
 
     The Rician moment needs only b = 1.  The Taylor series
-    sum_k (a)_k z^k / (k!)^2, stopped once every element's last term is
-    below 1e-16 of its running sum; entire in ``a``.  The moments pass
-    z = K >= 0, where the series does not alternate; a negative z takes the
-    same series.
+    sum_k (a)_k z^k / (k!)^2, each element stopped once its own last term
+    is below 1e-16 of its running sum (its later terms are zeroed), so an
+    element's value does not depend on the rest of the array; entire in
+    ``a``.  The moments pass z = K >= 0, where the series does not
+    alternate; a negative z takes the same series.
     """
     z = float(z)
     if abs(z) > KUMMER_Z_BOUND:
@@ -51,13 +56,17 @@ def kummer_1f1(a, z: float):
             f"1F1 argument |z|={abs(z):g} exceeds supported bound {KUMMER_Z_BOUND:g}"
         )
     a = np.asarray(a, dtype=complex)
-    term = np.ones(a.shape, dtype=complex)
+    flat = a.reshape(-1)  # a scalar takes the array arithmetic too
+    term = np.ones_like(flat)
     total = term.copy()
     for k in range(_MAX_SERIES_TERMS):
-        term = term * ((a + k) * z / ((1.0 + k) * (k + 1)))
+        term = term * ((flat + k) * z / ((1.0 + k) * (k + 1)))
         total += term
-        if k > 2 and np.all(np.abs(term) <= 1e-16 * np.abs(total)):
-            return total[()]
+        if k > 2:
+            converged = np.abs(term) <= 1e-16 * np.abs(total)
+            if converged.all():
+                return total.reshape(a.shape)[()]
+            term[converged] = 0.0
     raise SeriesDivergenceError("hypergeometric series stalled before convergence")
 
 
@@ -87,11 +96,19 @@ def gauss_2f1(a, p: float):
 
     Legendre's form: the mean over phi of (cos^2 phi + p sin^2 phi)^-a,
     taken by the midpoint rule on :func:`polar_nodes`.  The argument is given
-    as its complement p, which keeps it exact as 1 - p -> 1.
+    as its complement p, which keeps it exact as 1 - p -> 1.  The elements
+    of ``a`` go through in chunks of at most ``_GAUSS_CHUNK`` (element,
+    node) pairs, so a long array never holds its whole outer product.
     """
     log_v = np.log(polar_nodes(p))
     a = np.asarray(a, dtype=complex)
-    return np.exp(np.multiply.outer(-a, log_v)).mean(axis=-1)[()]
+    flat = a.reshape(-1)
+    out = np.empty_like(flat)
+    step = max(1, _GAUSS_CHUNK // log_v.size)
+    for lo in range(0, flat.size, step):
+        powers = np.multiply.outer(-flat[lo:lo + step], log_v)
+        out[lo:lo + step] = np.exp(powers, out=powers).mean(axis=-1)
+    return out.reshape(a.shape)[()]
 
 
 def log_bessel_i0(x):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -172,6 +173,33 @@ def test_residue_ill_conditioned_contour():
         mellin.residue_at(f, 0.0, 1, 10.0)
 
 
+def test_residue_at_arrays_equal_scalar_calls():
+    # Gamma(s) Gamma(s+1) (s+2): a simple pole at 0, double poles at -1 and
+    # -3, and at -2 a double pole that the factor (s+2) makes simple
+    f = lambda s: special.gamma(s) * special.gamma(s + 1.0) * (s + 2.0)
+    s0, k, context = [0.0, -1.0, -2.0, -3.0], [1, 2, 2, 2], [1.0, 1.0, 1.0, 1.0]
+    got = mellin.residue_at(f, np.array(s0), np.array(k), np.array(context))
+    assert got == [mellin.residue_at(f, *pole) for pole in zip(s0, k, context)]
+    assert [len(d) for d in got] == [1, 2, 1, 2]
+    assert got[0][0] == pytest.approx(2.0, rel=1e-12)
+    assert got[2][0] == pytest.approx(-0.5, rel=1e-12)
+
+
+def test_residue_at_arrays_raise_for_the_first_ill_conditioned_pole():
+    # |H| = exp(cos(theta)/r) on a circle of radius r: the ratio e^(2/r)
+    # passes at r = 0.5 and fails at r = 0.05 and 0.04
+    f = lambda s: np.exp(1.0 / s) / s
+    contexts = [1.25, 0.125, 0.1]
+    with pytest.raises(IllConditionedContourError) as batch:
+        mellin.residue_at(f, np.zeros(3), np.ones(3, dtype=int), np.array(contexts))
+    with pytest.raises(IllConditionedContourError) as first:
+        mellin.residue_at(f, 0.0, 1, contexts[1])
+    with pytest.raises(IllConditionedContourError) as second:
+        mellin.residue_at(f, 0.0, 1, contexts[2])
+    assert str(batch.value) == str(first.value) != str(second.value)
+    assert str(first.value).startswith("|H| spans a ratio of 2.35")
+
+
 def test_simple_pole_richardson_cross_check():
     # limit (s-p) G(s), Richardson-extrapolated from distances 1e-3 and 1e-4
     # pole gaps of 1.0 keep the extrapolation's own truncation error
@@ -219,9 +247,8 @@ def test_effective_order_reduction_hypergeometric_zero():
 def test_origin_residue_is_one(reference_configs):
     # the numeric residue of the lambda_N = 0 integrand at s = 0
     for name, net in reference_configs.items():
-        f = mellin._term_integrand(net, (0,) * net.n_hops, {})
         context = abs(mellin.leading_pole(net)[0])
-        residue = mellin.residue_at(f, 0.0, 1, context)[0]
+        [[residue]] = mellin._residues(net, [((0,) * net.n_hops, 0.0, 1, context)])
         assert residue == pytest.approx(1.0, abs=1e-9), name
 
 
@@ -410,24 +437,48 @@ def test_build_expansion_at_hoyt_q_floor_raises_typed_error():
         mellin.build_expansion(make_network([F.hoyt(channels.HOYT_Q_MIN)] * 3), 2)
 
 
-def test_build_expansion_evaluates_each_ring_once(monkeypatch):
-    # the 120 shift tuples of an 8-hop chain at lambda = 3 meet the same
-    # shifted per-hop rings; a build evaluates each (model, nodes) ring once
-    # and keeps none of them for the next build
-    net = make_network([F.nakagami(m) for m in (2.2, 1.8, 1.6, 2.5, 2.1, 2.9, 1.7, 1.3)])
+@pytest.mark.parametrize(
+    "ms, lambda_max",
+    [
+        ((2.2, 1.8, 1.6, 2.5, 2.1, 2.9, 1.7, 1.3), 3),
+        # two hops share a model, and pairs of (pole, shift) meet four rings
+        # at the same node bytes, such as (-2.8 + r e^it) + 1 and -1.8 + r e^it
+        ((2.2, 1.8, 1.8), 4),
+    ],
+    ids=["nak8", "nak3"],
+)
+def test_build_expansion_calls_log_moment_once_per_hop_model(monkeypatch, ms, lambda_max):
+    # the shift tuples of a chain meet the same shifted per-hop rings; a
+    # build evaluates them in one log_moment call per hop model, each ring
+    # once, and keeps none of them for the next build
+    net = make_network([F.nakagami(m) for m in ms])
     calls = []
 
     def counted(model, s):
-        calls.append((model, s.tobytes()))
+        calls.append((model, s.tobytes(), {row.tobytes() for row in s}, len(s)))
         return channels.log_moment(model, s)
 
     monkeypatch.setattr(mellin, "log_moment", counted)
-    first = mellin.build_expansion(net, 3)
+    first = mellin.build_expansion(net, lambda_max)
     per_build = len(calls)
-    assert len(set(calls)) == per_build
-    second = mellin.build_expansion(net, 3)
-    assert len(calls) == 2 * per_build
+    assert len({model for model, *_ in calls}) == per_build <= len(set(ms))
+    assert all(len(rows) == n for _, _, rows, n in calls)
+    second = mellin.build_expansion(net, lambda_max)
+    assert calls[per_build:] == calls[:per_build]
     assert first.terms == second.terms
+
+
+def test_build_expansion_of_small_hoyt_q_keeps_its_memory_small():
+    # each polar-node rule of 10,000 nodes is applied to a few moment
+    # arguments at a time, not to every ring of the build at once
+    net = make_network([F.hoyt(channels.HOYT_Q_MIN)] * 2)
+    tracemalloc.start()
+    try:
+        mellin.build_expansion(net, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5e6
 
 
 def test_leading_term_is_top_term_of_lambda_zero_expansion(reference_configs):
