@@ -23,7 +23,7 @@ import sys
 from . import analysis, mellin, montecarlo
 # validate_model stays a name of this module: the benchmark tracer wraps
 # cli.validate_model.  NetworkConfig calls it on every hop.
-from .channels import FadingModel, HopConfig, validate_model  # noqa: F401
+from .channels import HOYT, NAKAGAMI, RICIAN, WEIBULL, FadingModel, HopConfig, validate_model  # noqa: F401
 from .errors import (
     ArgumentRangeError,
     IllConditionedContourError,
@@ -42,6 +42,8 @@ EXIT_NUMERICAL = 4
 EXIT_IO = 5
 
 _SHAPE_KEYS = ("m", "K", "q")
+# the shape key of each supported family; other families fail model validation (exit 3)
+_FAMILY_SHAPE_KEY = {NAKAGAMI: "m", WEIBULL: "m", RICIAN: "K", HOYT: "q"}
 _HOP_KEYS = {"fading", "theta", "rho", *_SHAPE_KEYS}
 _TOP_KEYS = {"gamma_t_db", "gamma_t", "hops"}
 
@@ -83,10 +85,15 @@ def _parse_hop(entry, index: int) -> HopConfig:
         raise _schema_error(
             f"hops[{index}] needs exactly one shape key of {_SHAPE_KEYS}, got {shapes}"
         )
+    family = entry["fading"].lower()
+    if _FAMILY_SHAPE_KEY.get(family, shapes[0]) != shapes[0]:
+        raise _schema_error(
+            f"hops[{index}] is {family}, whose shape key is {_FAMILY_SHAPE_KEY[family]!r}, not {shapes[0]!r}"
+        )
     shape, theta, rho = (
         _number(entry.get(key, 1.0), f"hops[{index}].{key}") for key in (shapes[0], "theta", "rho")
     )
-    model = FadingModel(variant=entry["fading"].lower(), shape=shape, scale=theta)
+    model = FadingModel(variant=family, shape=shape, scale=theta)
     return HopConfig(model=model, rho=rho)
 
 
@@ -94,7 +101,8 @@ def parse_config(text: str) -> NetworkConfig:
     """Parse and fully validate a JSON config into a NetworkConfig.
 
     Raises ConfigSyntaxError for malformed JSON, ConfigSchemaError for
-    structural problems (unknown keys, missing hops, rho_1 != 1), and
+    structural problems (unknown keys, a shape key of another family,
+    missing hops, rho_1 != 1), and
     ModelValidationError for unsupported families or out-of-range parameters.
     """
     try:
@@ -174,7 +182,7 @@ def _cmd_poles(network: NetworkConfig, args: argparse.Namespace) -> None:
     poles = mellin.enumerate_poles(network, (0,) * network.n_hops, re_min)
     print(f"# poles of the lambda=0 integrand with Re(s) >= {re_min:g}")
     print("location order")
-    for loc, order in poles:
+    for loc, order, _ in poles:
         print(f"{loc:g} {order}")
     print(f"s0 = {s0:g}")
     print(f"k = {k}")

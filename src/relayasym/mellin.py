@@ -9,18 +9,19 @@ per-hop moment functions.  Every residue of order k contributes a
 polynomial in ln(gamma_bar) of degree k-1 times a power of gamma_bar, and
 those polynomials are what :class:`AsymptoticExpansion` stores.
 
-Residues are planned, then evaluated together.  ``_residue_poles`` plans
-one term's residues, given its shifts: it merges the term's real
-(location, order) poles in the window (:func:`enumerate_poles`) and sizes
-each contour by the nearest other pole.  ``_residues`` evaluates a list of
-planned residues: one log_moment call per distinct hop model on every
-distinct shifted ring they meet (``_ring_tables``), then the Laurent data
-of a block of residues at a time off one FFT of their contour samples
-(:func:`residue_at`).  :func:`leading_term` evaluates the first residue of
-the lambda_N = 0 term; :func:`build_expansion` plans the residues of every
-term, evaluates them in one pass and sums them by exponent, and its
-truncation check compares the sum of all orders with the sum of the orders
-below lambda_max.  Each hop's poles are the floats
+Residues are planned, then evaluated together.  :func:`enumerate_poles`
+plans one term's residues, given its shifts: it lists each hop's poles
+once, merges the term's real poles in the window and gives each its
+(location, order, context), the context sizing its contour by the nearest
+other pole.  ``_residues`` evaluates a list of planned residues: one
+log_moment call per distinct hop model on every distinct shifted ring they
+meet (``_ring_tables``), then the Laurent data of a block of residues at a
+time off one FFT of their contour samples (:func:`residue_at`).
+:func:`leading_term` evaluates the first residue of the lambda_N = 0 term;
+:func:`build_expansion` plans the residues of every term, at most
+``MAX_SERIES_TERMS`` terms, evaluates them in one pass and sums them by
+exponent, and its truncation check compares the sum of all orders with the
+sum of the orders below lambda_max.  Each hop's poles are the floats
 r0 - step*j that :func:`relayasym.channels.mellin_poles` lists; it refuses
 a window of more than ``MAX_LATTICE_POLES`` poles; :func:`leading_pole`
 lists none.  The expansion is a series in 1/gamma_bar and ln(gamma_bar),
@@ -71,6 +72,11 @@ RESIDUE_BLOCK = 32
 
 DEFAULT_LAMBDA_MAX = 2
 DEFAULT_RE_MIN_OFFSET = 1.5
+
+#: Most series terms one build plans: C(lambda_max + N - 1, N - 1) shift
+#: tuples for N hops.  An 8-hop build takes about 0.1 ms and 2 kB per term,
+#: so this bound is about a second; 8 hops take lambda_max <= 8 (6,435 terms).
+MAX_SERIES_TERMS = 10_000
 
 
 @dataclass(frozen=True)
@@ -146,53 +152,43 @@ def _shift_terms(network: NetworkConfig, lam: int):
         yield shifts, coeff
 
 
-def _pole_contributions(network, shifts, re_min):
-    """Raw (location, order-delta) pairs for one term's integrand, unmerged.
-
-    The prefactor gamma(s+lambda_N)/gamma(s+1) (lambda_N = shifts[-1]) adds a
-    pole at the origin for lambda_N = 0 and zeros at -1, ..., -(lambda_N - 1).
-    """
-    lambda_n = shifts[-1]
-    contribs: list[tuple[float, int]] = []
-    for hop, lam_j in zip(network.hops, shifts):
-        contribs += [(loc - lam_j, 1) for loc in mellin_poles(hop.model, re_min + lam_j)]
-    if lambda_n == 0 and re_min <= 0.0:
-        contribs.append((0.0, 1))
-    contribs += [(-float(i), -1) for i in range(1, lambda_n) if -i >= re_min]
-    return contribs
-
-
-def _merge_contributions(contribs) -> list[tuple[float, int]]:
-    """Cluster locations within the merge tolerance and sum their orders."""
-    merged: list[tuple[float, int]] = []
-    for loc, delta in sorted(contribs):
-        if merged and abs(loc - merged[-1][0]) < POLE_MERGE_TOL:
-            prev_loc, prev_order = merged[-1]
-            merged[-1] = (prev_loc, prev_order + delta)
-        else:
-            merged.append((loc, delta))
-    gaps = [b[0] - a[0] for a, b in zip(merged, merged[1:])]
-    for gap in gaps:
-        if POLE_MERGE_TOL <= gap < NEAR_COINCIDENT_TOL:
-            warnings.warn(
-                f"pole locations separated by {gap:.3e}: residue extraction may be "
-                "ill-conditioned",
-                ConditioningWarning,
-                stacklevel=3,
-            )
-    return merged
-
-
-def enumerate_poles(network: NetworkConfig, shifts, re_min: float) -> list[tuple[float, int]]:
-    """Merged (location, order) poles of one series term's integrand in s >= re_min.
+def enumerate_poles(network: NetworkConfig, shifts, re_min: float) -> list[tuple[float, int, float]]:
+    """(location, order, context) of each pole of one series term's integrand in s >= re_min.
 
     Combines the per-hop moment lattices, shifted left by ``shifts``, with
-    the poles/zeros of the gamma(s+lambda_N)/gamma(s+1) prefactor, where
-    lambda_N = shifts[-1]; entries whose net order drops to zero or below (a
-    prefactor zero cancelling a moment pole) are removed.  Rightmost first.
+    the gamma(s+lambda_N)/gamma(s+1) prefactor's pole at the origin
+    (lambda_N = shifts[-1] = 0) and zeros at -1, ..., -(lambda_N - 1).  Each
+    hop's lattice is listed once, down to re_min - 2; its pole p is in the
+    window when p >= re_min + lambda_j, before the shift to p - lambda_j.
+    In-window locations within POLE_MERGE_TOL merge and their orders add;
+    entries whose net order drops to zero or below (a prefactor zero
+    cancelling a moment pole) are removed, and merged entries closer than
+    NEAR_COINCIDENT_TOL warn.  A pole's context, which sizes its residue
+    contour, is the distance to the nearest other location listed down to
+    re_min - 2 (inf if there is none).  Rightmost first.
     """
-    merged = _merge_contributions(_pole_contributions(network, shifts, re_min))
-    return [(loc, order) for loc, order in sorted(merged, reverse=True) if order > 0]
+    lambda_n, floor = shifts[-1], re_min - 2.0
+    # (location, order delta, in the window) of every pole and zero down to the floor
+    listed = [(loc - lam_j, 1, loc >= re_min + lam_j)
+              for hop, lam_j in zip(network.hops, shifts)
+              for loc in mellin_poles(hop.model, floor + lam_j)]
+    if lambda_n == 0 and floor <= 0.0:
+        listed.append((0.0, 1, re_min <= 0.0))
+    listed += [(-float(i), -1, -i >= re_min) for i in range(1, lambda_n) if -i >= floor]
+    merged: list[list] = []
+    for loc, delta in sorted((loc, delta) for loc, delta, inside in listed if inside):
+        if merged and abs(loc - merged[-1][0]) < POLE_MERGE_TOL:
+            merged[-1][1] += delta
+        else:
+            merged.append([loc, delta])
+    for (a, _), (b, _) in zip(merged, merged[1:]):
+        if POLE_MERGE_TOL <= b - a < NEAR_COINCIDENT_TOL:
+            warnings.warn(f"pole locations separated by {b - a:.3e}: residue extraction may be "
+                          "ill-conditioned", ConditioningWarning, stacklevel=2)
+    others = [loc for loc, _, _ in listed]
+    return [(loc, order, min((abs(loc - o) for o in others if abs(loc - o) >= POLE_MERGE_TOL),
+                             default=math.inf))
+            for loc, order in reversed(merged) if order > 0]
 
 
 def _ring(context: np.ndarray):
@@ -354,23 +350,6 @@ def leading_pole(network: NetworkConfig) -> tuple[float, int]:
     return s0, sum(s0 - r0 < POLE_MERGE_TOL for r0 in r0s)
 
 
-def _residue_poles(network: NetworkConfig, shifts, re_min: float):
-    """Yield (location, order, context) for each residue of one series term's integrand.
-
-    Poles with Re(s) >= re_min, rightmost first, as :func:`residue_at` takes
-    them; the lambda_N = 0 pole at the origin is skipped, because its residue
-    1 cancels the leading 1 of the outage formula.  Each contour's radius is
-    set by the nearest other pole, looked for down to re_min - 2.
-    """
-    poles = enumerate_poles(network, shifts, re_min)
-    wide = [loc for loc, _ in _pole_contributions(network, shifts, re_min - 2.0)]
-    for loc, order in poles:
-        if shifts[-1] == 0 and abs(loc) < POLE_MERGE_TOL:
-            continue
-        context = min((abs(loc - o) for o in wide if abs(loc - o) >= POLE_MERGE_TOL), default=math.inf)
-        yield loc, order, context
-
-
 def leading_term(network: NetworkConfig):
     """Rightmost non-origin pole of G(s) and its full residue polynomial.
 
@@ -381,7 +360,9 @@ def leading_term(network: NetworkConfig):
     """
     s0, _ = leading_pole(network)
     shifts = (0,) * network.n_hops
-    loc, order, context = next(_residue_poles(network, shifts, s0 - 0.5))
+    # skip the origin pole: its residue 1 cancels the leading 1 of the outage formula
+    poles = enumerate_poles(network, shifts, s0 - 0.5)
+    loc, order, context = next(pole for pole in poles if abs(pole[0]) >= POLE_MERGE_TOL)
     [derivs] = _residues(network, [(shifts, loc, order, context)])
     a_scale = network.gamma_t * network.hops[-1].rho
     coeffs = _rebase_coefficients(-1.0, derivs, loc, a_scale)
@@ -431,10 +412,15 @@ def build_expansion(
     emitted when the lambda_max sum is not positive or the two differ by more
     than 10% of it (formal-series divergence signal).  It also warns when
     hop N is off the leading pole s0, where the leading constant is a
-    partial sum.
+    partial sum.  More than MAX_SERIES_TERMS series terms raise ValueError
+    before any pole is listed.
     """
     if lambda_max < 0:
         raise ValueError("lambda_max must be >= 0")
+    n_terms = math.comb(lambda_max + network.n_hops - 1, network.n_hops - 1)
+    if n_terms > MAX_SERIES_TERMS:
+        raise ValueError(f"lambda_max = {lambda_max} gives {n_terms} series terms over {network.n_hops} "
+                         f"hops, more than {MAX_SERIES_TERMS}")
     s0, k = leading_pole(network)
     last = lattice(network.hops[-1].model)[0]
     # Off the leading pole the constant is the binomial series of (rho + W)^-s0,
@@ -448,9 +434,10 @@ def build_expansion(
     a_scale = network.gamma_t * network.hops[-1].rho
     # plan every residue of the build, (lambda_N, coefficient, job), then evaluate them in one pass
     plan = [(lam, coeff, (shifts, *pole))
-            for lam in range(lambda_max + 1)
+            for lam in range(lambda_max + 1 if network.n_hops > 1 else 1)  # one hop: lambda = 0 alone
             for shifts, coeff in _shift_terms(network, lam)
-            for pole in _residue_poles(network, shifts, re_min)]
+            for pole in enumerate_poles(network, shifts, re_min)
+            if lam or abs(pole[0]) >= POLE_MERGE_TOL]
     laurent = _residues(network, [job for _, _, job in plan])
     # (lambda_N, exponent, coefficients), one per residue
     entries = [(lam, job[1], _rebase_coefficients(-coeff, derivs, job[1], a_scale))

@@ -392,6 +392,9 @@ def test_exit_codes(tmp_path, capsys):
 
     lognormal = {"gamma_t_db": 0.0, "hops": [{"fading": "lognormal", "m": 1.0}]}
     assert cli.main(["poles", "--config", _write(tmp_path, "ln.json", json.dumps(lognormal))]) == EXIT_MODEL
+    # a shape key of another family: m is not a Rician K, q not a Nakagami m
+    for hop in ({"fading": "rician", "m": 3.0}, {"fading": "nakagami", "q": 0.5}):
+        assert cli.main(["poles", "--config", _write(tmp_path, "key.json", json.dumps({"hops": [hop]}))]) == EXIT_CONFIG
 
     assert cli.main(["poles", "--config", str(tmp_path / "missing.json")]) == EXIT_IO
 
@@ -427,7 +430,16 @@ def test_exit_codes(tmp_path, capsys):
     assert cli.main(["asymptote", "--config", ray, "--re-min=-1e6"]) == EXIT_CONFIG
     fine = {"gamma_t_db": 0.0, "hops": [{"fading": "weibull", "m": 1e-5}]}
     assert cli.main(["asymptote", "--config", _write(tmp_path, "fine.json", json.dumps(fine))]) == EXIT_CONFIG
+    # poles lists down to re_min - 2 as asymptote does, so it refuses the
+    # 3,500 poles of a Weibull m = 0.001 moment that the default window needs
+    finer = {"gamma_t_db": 0.0, "hops": [{"fading": "weibull", "m": 0.001}]}
+    assert cli.main(["poles", "--config", _write(tmp_path, "finer.json", json.dumps(finer))]) == EXIT_CONFIG
     assert time.perf_counter() - started < 5.0
+    # an 8-hop lambda_max = 40 series: 6.3e7 terms, refused before any is planned
+    nak8 = _write(tmp_path, "nak8.json", json.dumps({"hops": [{"fading": "nakagami", "m": 2.0}] * 8}))
+    started = time.perf_counter()
+    assert cli.main(["asymptote", "--config", nak8, "--lambda-max", "40"]) == EXIT_CONFIG
+    assert time.perf_counter() - started < 1.0
     capsys.readouterr()
     # the moment product underflows to 0 on contours far left of the leading pole
     assert cli.main(["asymptote", "--config", ray, "--re-min=-200"]) == EXIT_NUMERICAL

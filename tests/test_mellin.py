@@ -84,20 +84,22 @@ def test_product_moment_values():
 
 
 def test_enumerate_poles_examples():
+    # (location, order, context): the context of -1.8 is its distance to the
+    # -2.2 pole, which lies left of the window
     nak3 = REFERENCE_CONFIGS["nak3"]
     assert mellin.enumerate_poles(nak3, (0, 0, 0), -2.0) == [
-        (0.0, 1),
-        (-1.8, 2),
+        (0.0, 1, 1.8),
+        (-1.8, 2, 2.2 - 1.8),
     ]
     ric3 = REFERENCE_CONFIGS["ric3"]
     assert mellin.enumerate_poles(ric3, (0, 0, 0), -1.5) == [
-        (0.0, 1),
-        (-1.0, 3),
+        (0.0, 1, 1.0),
+        (-1.0, 3, 1.0),
     ]
     ray1 = rayleigh_chain(1)
     assert mellin.enumerate_poles(ray1, (0,), -1.5) == [
-        (0.0, 1),
-        (-1.0, 1),
+        (0.0, 1, 1.0),
+        (-1.0, 1, 1.0),
     ]
 
 
@@ -105,21 +107,91 @@ def test_enumerate_poles_prefactor_zero_cancellation():
     # lambda_N = 2 prefactor (s+1) removes one order at s = -1
     ric3 = REFERENCE_CONFIGS["ric3"]
     poles = mellin.enumerate_poles(ric3, (0, 0, 2), -2.5)
-    assert (-1.0, 1) in poles  # order 2 from two hops, minus the zero
+    assert (-1.0, 1, 1.0) in poles  # order 2 from two hops, minus the zero
     # and a term where the single moment pole is fully cancelled
     poles = mellin.enumerate_poles(ric3, (0, 2, 2), -1.5)
-    assert all(abs(loc + 1.0) > 1e-9 for loc, _ in poles)
+    assert all(abs(loc + 1.0) > 1e-9 for loc, _, _ in poles)
 
 
 def test_enumerate_poles_shift_moves_lattice_left():
     ric3 = REFERENCE_CONFIGS["ric3"]
-    assert mellin.enumerate_poles(ric3, (0, 1, 1), -2.0) == [(-1.0, 1), (-2.0, 3)]
+    assert mellin.enumerate_poles(ric3, (0, 1, 1), -2.0) == [(-1.0, 1, 1.0), (-2.0, 3, 1.0)]
 
 
 def test_near_coincident_warning():
     net = make_network([F.nakagami(1.8), F.nakagami(1.8 + 1e-5)])
     with pytest.warns(ConditioningWarning):
         mellin.enumerate_poles(net, (0, 0), -3.0)
+
+
+def test_near_coincident_poles_left_of_the_window_do_not_warn():
+    # -1.8 and -1.80001 lie in [re_min - 2, re_min): listed for the contexts only
+    net = make_network([F.nakagami(1.8), F.nakagami(1.8 + 1e-5)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ConditioningWarning)
+        assert mellin.enumerate_poles(net, (0, 0), -1.5) == [(0.0, 1, 1.8)]
+
+
+def _reference_plan(net, shifts, re_min):
+    """A term's (location, order, context) list by definition, listing each lattice twice.
+
+    The window is listed per hop at re_min + lambda_j and merged; a pole's
+    context is its least distance of at least POLE_MERGE_TOL to the raw
+    locations, prefactor pole and zeros included, listed down to re_min - 2.
+    """
+    def listed(lo):
+        out = [(loc - lam, 1) for hop, lam in zip(net.hops, shifts)
+               for loc in channels.mellin_poles(hop.model, lo + lam)]
+        if shifts[-1] == 0 and lo <= 0.0:
+            out.append((0.0, 1))
+        return out + [(-float(i), -1) for i in range(1, shifts[-1]) if -i >= lo]
+
+    merged = []
+    for loc, delta in sorted(listed(re_min)):
+        if merged and abs(loc - merged[-1][0]) < channels.POLE_MERGE_TOL:
+            merged[-1][1] += delta
+        else:
+            merged.append([loc, delta])
+    wide = [loc for loc, _ in listed(re_min - 2.0)]
+    return [(loc, order, min((abs(loc - o) for o in wide if abs(loc - o) >= channels.POLE_MERGE_TOL),
+                             default=math.inf))
+            for loc, order in sorted(merged, reverse=True) if order > 0]
+
+
+NAK8 = make_network([F.nakagami(m) for m in (2.2, 1.8, 1.6, 2.5, 2.1, 2.9, 1.7, 1.3)])
+
+
+@pytest.mark.parametrize("offset", [0.5, 1.5])
+def test_enumerate_poles_matches_the_reference_plan(offset):
+    # every shift tuple up to lambda = 3, bit for bit, at the windows that
+    # leading_term (s0 - 0.5) and build_expansion (s0 - 1.5) use
+    nets = {**NINE_CONFIGS, "nak8": NAK8,
+            "chain": make_network([F.nakagami(2.2), F.nakagami(1.8), F.nakagami(1.8)])}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConditioningWarning)
+        for name, net in nets.items():
+            re_min = mellin.leading_pole(net)[0] - offset
+            for lam in range(4):
+                for shifts, _ in mellin._shift_terms(net, lam):
+                    want = _reference_plan(net, shifts, re_min)
+                    assert mellin.enumerate_poles(net, shifts, re_min) == want, (name, shifts)
+
+
+def test_build_lists_each_hop_lattice_once_per_term(monkeypatch):
+    calls = []
+
+    def counted(model, re_min):
+        calls.append((model, re_min))
+        return channels.mellin_poles(model, re_min)
+
+    monkeypatch.setattr(mellin, "mellin_poles", counted)
+    net = REFERENCE_CONFIGS["nak3"]
+    re_min = mellin.leading_pole(net)[0] - mellin.DEFAULT_RE_MIN_OFFSET
+    mellin.build_expansion(net, 2)
+    assert calls == [(hop.model, re_min - 2.0 + lam_j)
+                     for lam in range(3)
+                     for shifts, _ in mellin._shift_terms(net, lam)
+                     for hop, lam_j in zip(net.hops, shifts)]
 
 
 # ---------------------------------------------------------------------------
@@ -204,24 +276,24 @@ def test_simple_pole_richardson_cross_check():
     # limit (s-p) G(s), Richardson-extrapolated from distances 1e-3 and 1e-4
     # pole gaps of 1.0 keep the extrapolation's own truncation error
     # (~ residue * d1*d2 / gap^2) below the 1e-6 comparison tolerance
+    # with each pole's context: the distance to the nearest other pole
     nets = [
-        make_network([F.nakagami(1.5)]),
-        make_network([F.rician(2.0)]),
-        make_network([F.nakagami(1.2), F.nakagami(2.2)]),
+        (make_network([F.nakagami(1.5)]), [1.5, 1.0, 1.0]),
+        (make_network([F.rician(2.0)]), [1.0] * 4),
+        (make_network([F.nakagami(1.2), F.nakagami(2.2)]), [1.2, 2.2 - 1.2, 1.0]),
     ]
-    for net in nets:
+    for net, contexts in nets:
         g = lambda s: product_moment(net, s)
         shifts = (0,) * net.n_hops
         poles = mellin.enumerate_poles(net, shifts, -3.0)
-        locations = [loc for loc, _ in poles]
-        for loc, order in poles:
+        assert [context for _, _, context in poles] == contexts
+        for loc, order, context in poles:
             if abs(loc) < 1e-9 or order != 1:
                 continue  # origin pole belongs to the prefactor, not G
             d1, d2 = 1e-3, 1e-4
             f1 = (d1 * g(loc + d1)).real
             f2 = (d2 * g(loc + d2)).real
             extrapolated = (d1 * f2 - d2 * f1) / (d1 - d2)
-            context = min(abs(loc - o) for o in locations if abs(loc - o) > 1e-9)
             got = mellin.residue_at(g, loc, order, context)[0]
             assert got == pytest.approx(extrapolated, rel=1e-6)
 
@@ -315,9 +387,13 @@ def test_leading_pole_is_the_order_enumerate_poles_gives():
     for net in nets:
         s0, k = mellin.leading_pole(net)
         poles = mellin.enumerate_poles(net, (0,) * net.n_hops, s0 - 1.0)
-        rightmost = max(loc for loc, _ in poles if abs(loc) >= channels.POLE_MERGE_TOL)
+        rightmost = max(loc for loc, _, _ in poles if abs(loc) >= channels.POLE_MERGE_TOL)
         assert abs(rightmost - s0) < channels.POLE_MERGE_TOL, net
-        assert [order for loc, order in poles if abs(loc - s0) < channels.POLE_MERGE_TOL] == [k], net
+        assert [order for loc, order, _ in poles if abs(loc - s0) < channels.POLE_MERGE_TOL] == [k], net
+        # s0's context: the origin, or the nearest lattice point of a hop other than s0 itself
+        near = [abs(s0 - r0) if abs(s0 - r0) >= channels.POLE_MERGE_TOL else abs(s0 - (r0 - step))
+                for r0, step in (channels.lattice(hop.model) for hop in net.hops)]
+        assert [c for loc, _, c in poles if abs(loc - s0) < channels.POLE_MERGE_TOL] == [min(abs(s0), *near)], net
 
 
 def test_leading_pole_lists_no_poles():
@@ -437,6 +513,15 @@ def test_build_expansion_at_hoyt_q_floor_raises_typed_error():
         mellin.build_expansion(make_network([F.hoyt(channels.HOYT_Q_MIN)] * 3), 2)
 
 
+def test_build_expansion_bounds_the_series_terms():
+    # C(lambda_max + N - 1, N - 1) terms: 11,440 for 8 hops at lambda_max = 9
+    with pytest.raises(ValueError, match="11440 series terms"):
+        mellin.build_expansion(NAK8, 9)
+    # one hop has the lambda = 0 term alone, whatever lambda_max is
+    net = rayleigh_chain(1)
+    assert mellin.build_expansion(net, 10**12).terms == mellin.build_expansion(net, 0).terms
+
+
 @pytest.mark.parametrize(
     "ms, lambda_max",
     [
@@ -549,7 +634,8 @@ def test_rightmost_pole_dominance(reference_configs):
         for lam in range(0, 3):
             for shifts, _ in mellin._shift_terms(net, lam):
                 poles = mellin.enumerate_poles(net, shifts, s0 - 1.5)
-                for loc, order in poles:
+                assert poles == _reference_plan(net, shifts, s0 - 1.5), (name, shifts)
+                for loc, order, _ in poles:
                     if lam == 0 and abs(loc) < 1e-9:
                         continue
                     assert loc <= s0 + 1e-12, (name, shifts, loc, order)
