@@ -1,19 +1,19 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types; the numerical failures are ArithmeticErrors, none a ValueError."""
 
 
 class RelayAsymError(Exception):
     """Base class for all library-specific errors."""
 
 
-class PoleAtArgumentError(RelayAsymError, ValueError):
+class PoleAtArgumentError(RelayAsymError, ArithmeticError):
     """A function was evaluated at (or too close to) one of its poles."""
 
 
-class ArgumentRangeError(RelayAsymError, ValueError):
+class ArgumentRangeError(RelayAsymError, ArithmeticError):
     """Argument outside the supported evaluation range of a special function."""
 
 
-class SeriesDivergenceError(RelayAsymError, ValueError):
+class SeriesDivergenceError(RelayAsymError, ArithmeticError):
     """A series evaluation was requested at a point where it diverges."""
 
 

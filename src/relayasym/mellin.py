@@ -146,9 +146,13 @@ def _shift_terms(network: NetworkConfig, lam: int):
     rho_n = network.hops[-1].rho
     for mid in itertools.combinations_with_replacement(range(lam + 1), network.n_hops - 2):
         shifts = (0, *mid, lam)
-        coeff = 1.0
-        for hop, lo, hi in zip(network.hops, shifts, shifts[1:]):
-            coeff *= (-hop.rho / rho_n) ** (hi - lo) / math.factorial(hi - lo)
+        try:
+            coeff = math.prod((-hop.rho / rho_n) ** (hi - lo) / math.factorial(hi - lo)
+                              for hop, lo, hi in zip(network.hops, shifts, shifts[1:]))
+        except OverflowError:
+            coeff = math.inf
+        if not math.isfinite(coeff):
+            raise OverflowError(f"the coefficient of series term {shifts} overflows a float")
         yield shifts, coeff
 
 
@@ -308,8 +312,6 @@ def _residues(network: NetworkConfig, jobs) -> list[list[float]]:
     arrays stay small whatever the number of jobs, and the first offending
     job raises.
     """
-    if not jobs:
-        return []
     shifts, s0, k, context = (np.array(column) for column in zip(*jobs))
     rings = _ring_tables(network, shifts, s0, context)
     out = []
@@ -330,7 +332,13 @@ def _rebase_coefficients(multiplier: float, derivs, s0: float, a_scale: float):
     """
     k = len(derivs)
     ln_a = math.log(a_scale)
-    pref = multiplier * a_scale ** (-s0) / math.gamma(k)
+    try:
+        pref = multiplier * a_scale ** (-s0) / math.gamma(k)
+    except OverflowError:
+        pref = math.inf
+    if not math.isfinite(pref):
+        raise OverflowError(f"the residue at s = {s0:g} overflows a float: (gamma_t rho_N)^-s0 = "
+                            f"{a_scale:g}^{-s0:g}, times {multiplier:g} / {k - 1}!")
     coeffs = np.zeros(k)
     for m in range(k):
         base = math.comb(k - 1, m) * derivs[k - 1 - m]
@@ -413,7 +421,9 @@ def build_expansion(
     than 10% of it (formal-series divergence signal).  It also warns when
     hop N is off the leading pole s0, where the leading constant is a
     partial sum.  More than MAX_SERIES_TERMS series terms raise ValueError
-    before any pole is listed.
+    before any pole is listed, and so does a window with no residue
+    (re_min > s0) once they are.  A term coefficient or a residue prefactor
+    (gamma_t rho_N)^-s0 that overflows a float raises OverflowError naming it.
     """
     if lambda_max < 0:
         raise ValueError("lambda_max must be >= 0")
@@ -438,6 +448,8 @@ def build_expansion(
             for shifts, coeff in _shift_terms(network, lam)
             for pole in enumerate_poles(network, shifts, re_min)
             if lam or abs(pole[0]) >= POLE_MERGE_TOL]
+    if not plan:  # re_min > s0: no pole but the origin's is in the window
+        raise ValueError(f"no residue in the window Re(s) >= {re_min:g}: the leading pole is s0 = {s0:g}")
     laurent = _residues(network, [job for _, _, job in plan])
     # (lambda_N, exponent, coefficients), one per residue
     entries = [(lam, job[1], _rebase_coefficients(-coeff, derivs, job[1], a_scale))

@@ -61,6 +61,9 @@ def test_log_log_diversity_matches_formula_nak3():
     mid = math.sqrt(1e6 * 1e8)
     d_emp = log_log_diversity(mid, mellin.evaluate_expansion(exp, mid))
     assert abs(d_emp - finite_diversity(s0, k, mid)) <= 0.02
+    for gamma_bar, p in ((1.0, 0.5), (mid, 0.0)):
+        with pytest.raises(ValueError, match="gamma_bar > 1 and p > 0"):
+            log_log_diversity(gamma_bar, p)
 
 
 def test_mc_and_oracle_slopes_agree():

@@ -90,6 +90,13 @@ def test_parse_rejects_syntax_and_schema():
         parse_config(json.dumps({"gamma_t": 1.0, "gamma_t_db": 0.0, "hops": [{"fading": "nakagami", "m": 1}]}))
     with pytest.raises(ConfigSchemaError):
         parse_config(json.dumps({"hops": [{"fading": "nakagami"}]}))  # no shape key
+    with pytest.raises(ConfigSchemaError, match="top level must be an object"):
+        parse_config(json.dumps([{"fading": "nakagami", "m": 1}]))
+    with pytest.raises(ConfigSchemaError, match=r"hops\[1\] must be an object"):
+        parse_config(json.dumps({"hops": [{"fading": "nakagami", "m": 1}, "nakagami"]}))
+    for fading in ({}, {"fading": 3}):
+        with pytest.raises(ConfigSchemaError, match="needs a string 'fading' key"):
+            parse_config(json.dumps({"hops": [{"m": 1, **fading}]}))
     with pytest.raises(ConfigSchemaError):
         parse_config(json.dumps({"extra": 1, "hops": [{"fading": "nakagami", "m": 1}]}))
     two_hops = [{"fading": "nakagami", "m": 1}, {"fading": "nakagami", "m": 1, "rho": -1.0}]
@@ -444,6 +451,30 @@ def test_exit_codes(tmp_path, capsys):
     # the moment product underflows to 0 on contours far left of the leading pole
     assert cli.main(["asymptote", "--config", ray, "--re-min=-200"]) == EXIT_NUMERICAL
     assert "underflow" in capsys.readouterr().err
+    # a negative truncation order
+    assert cli.main(["asymptote", "--config", ray, "--lambda-max=-1"]) == EXIT_CONFIG
+    # a window right of the leading pole s0 = -1 holds no residue
+    ray2 = _write(tmp_path, "ray2.json", json.dumps({"hops": [{"fading": "nakagami", "m": 1.0}] * 2}))
+    assert cli.main(["asymptote", "--config", ray2, "--re-min=-0.5"]) == EXIT_CONFIG
+    sweep = ["sweep", "--config", ray2, "--db-from", "30", "--db-to", "40", "--samples", "0", "--re-min=-0.5"]
+    assert cli.main(sweep) == EXIT_CONFIG
+    assert "no residue in the window" in capsys.readouterr().err
+    # a sample count too large to draw is refused before any block is planned
+    started = time.perf_counter()
+    assert cli.main(["simulate", "--config", ray, "--db-from", "30", "--samples", str(10**21)]) == EXIT_CONFIG
+    assert time.perf_counter() - started < 1.0
+    # float overflows in the expansion name what overflowed: a term coefficient
+    # with 171! in it, one with (rho_1/rho_2)^2 = 1e400, and (gamma_t rho_N)^-s0 = 1e600
+    tiny_rho = {"hops": [{"fading": "nakagami", "m": 2.0}, {"fading": "nakagami", "m": 2.0, "rho": 1e-200}]}
+    big_gamma_t = {"gamma_t_db": 300, "hops": [{"fading": "nakagami", "m": 20.0}] * 2}
+    for doc, options, named in (
+        ({"hops": [{"fading": "nakagami", "m": 1.0}] * 2}, ["--lambda-max", "171"], "series term (0, 171)"),
+        (tiny_rho, [], "series term (0, 2)"),
+        (big_gamma_t, [], "(gamma_t rho_N)^-s0 = 1e+30^20"),
+    ):
+        assert cli.main(["asymptote", "--config", _write(tmp_path, "over.json", json.dumps(doc)), *options]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert named in err and "overflows a float" in err and "Traceback" not in err
 
 
 def test_sweep_oracle_on_sharp_weibull_hops_fails_without_runtime_warnings(tmp_path):

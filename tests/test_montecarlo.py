@@ -201,6 +201,9 @@ def test_block_fold_holds_three_block_arrays(name):
 def test_estimate_requires_min_samples():
     with pytest.raises(ValueError):
         estimate_outage(rayleigh_chain(1), 10.0, 500, seed=1)
+    # past MAX_SAMPLES: refused before the block list is built
+    with pytest.raises(ValueError, match="n_samples"):
+        estimate_outage(rayleigh_chain(1), 10.0, 10**21, seed=1)
 
 
 @pytest.mark.parametrize("gamma_bar", [math.nan, math.inf, -math.inf, 0.0, -10.0])
