@@ -12,9 +12,7 @@ estimator runs one worker thread per core in the process's CPU affinity
 mask (at most one per block), so ``taskset`` sets the count.  Each block
 of chains is folded forward hop by hop as its gains are drawn, so a worker
 holds three block-sized buffers, which it reuses for all of its blocks.
-The oracle runs the row blocks of each Nystrom step on the same number of
-threads (at most one per block); each block writes only its own rows, so
-its values do not depend on the count either.
+The oracle runs on the calling thread.
 """
 
 from __future__ import annotations
@@ -166,15 +164,16 @@ def estimate_outage(
 # ---------------------------------------------------------------------------
 
 #: Log-gain window t = ln x of the oracle's rules, the panel width it starts
-#: from (it halves it down to PANEL_WIDTH / 8) and the nodes per panel.
+#: from (34 panels, G = 544 nodes; it halves it down to PANEL_WIDTH / 16) and
+#: the nodes per panel.
 T_LO, T_HI = -45.0, 6.0
-PANEL_WIDTH = 1.0
+PANEL_WIDTH = 1.5
 GL_NODES = 16
 
 #: Rows per block of a hop's kernel: ROW_BLOCK * G // columns, so a block
-#: holds at most ROW_BLOCK x G points (16 x 816 doubles, 0.1 MB, at the start
-#: width and 0.8 MB at the finest), and the pdf temporaries of all workers
-#: together stay small where a whole middle-hop kernel would be 5-340 MB;
+#: holds at most ROW_BLOCK x G points (16 x 544 doubles, 70 kB, at the start
+#: width and 1.1 MB at the finest), and the pdf temporaries stay small where
+#: a whole middle-hop kernel would be 2.4-600 MB;
 #: hop N's one-column kernel is one block.  Each block is evaluated only on
 #: the columns where X_n <= e^T_HI for its first row, about 0.62 G^2 points
 #: a middle hop for r_n = 1; every point left out has X_n > e^T_HI, mass
@@ -199,24 +198,16 @@ def _quad(width: float):
 
 
 def _nystrom_step(model, v: np.ndarray, wg: np.ndarray, t: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """g(s_i) = sum_j wg_j y pdf(y), y = v_j x_i, x_i = e^{t_i}, in blocks of rows.
-
-    The blocks run on one thread per core (at most one per block), and each
-    writes only its own rows of g, so g does not depend on the thread count.
-    """
+    """g(s_i) = sum_j wg_j y pdf(y), y = v_j x_i, x_i = e^{t_i}, in blocks of rows."""
     neg_log_v = -np.log(v)  # ascending, as v falls with j
     rows = ROW_BLOCK * t.size // v.size
     g = np.empty_like(t)
-
-    def block(lo):
+    for lo in range(0, t.size, rows):
         # ln y = t_i + ln v_j rises with i and falls with j, so the block's
         # first row fixes the first column with ln y <= T_HI
         j0 = np.searchsorted(neg_log_v, t[lo] - T_HI)
         y = np.outer(x[lo:lo + rows], v[j0:])
         g[lo:lo + rows] = (y * pdf(model, y)) @ wg[j0:]
-
-    starts = range(0, t.size, rows)
-    _map(block, starts, min(_n_cores(), len(starts)))
     return g
 
 
@@ -264,7 +255,7 @@ def oracle_outage(network: NetworkConfig, gamma_bar):
     reflected, from one Nystrom step for every hop n >= 2.  The outage P_h is
     made at h = PANEL_WIDTH and at 2h (not for one hop, which has no step);
     while |P_h - P_2h| exceeds ORACLE_RTOL of P_h at any gamma_bar, h is
-    halved and P_h becomes the coarse value, down to PANEL_WIDTH / 8.  The
+    halved and P_h becomes the coarse value, down to PANEL_WIDTH / 16.  The
     result is P_h, and its stated error is the mass the window leaves out
     plus |P_h - P_2h|.  QuadratureConvergenceError is raised past the finest
     width, or when the stated error exceeds ORACLE_RTOL of the result.
@@ -282,7 +273,7 @@ def oracle_outage(network: NetworkConfig, gamma_bar):
     value, omitted = outage(width)
     coarse = outage(2.0 * width)[0] if len(network.hops) > 1 else value
     while np.any(np.abs(value - coarse) > ORACLE_RTOL * value):
-        if width <= PANEL_WIDTH / 8:
+        if width <= PANEL_WIDTH / 16:
             raise QuadratureConvergenceError(f"panels of width {width:g} still move the outage by up to "
                                              f"{np.max(np.abs(value - coarse) / value):.2e} of itself, "
                                              f"above {ORACLE_RTOL:g}")

@@ -16,12 +16,15 @@ from scipy.special import gammainc, k1 as scipy_k1
 import relayasym
 from relayasym import channels, mellin, montecarlo
 from relayasym.channels import FadingModel
+from relayasym.cli import parse_config
 from relayasym.errors import QuadratureConvergenceError
 from relayasym.montecarlo import OutageEstimate, estimate_outage, oracle_outage, philox
 
 from conftest import REFERENCE_CONFIGS, bessel_k1, make_network, rayleigh_chain, two_hop_rayleigh_outage
 
 F = FadingModel
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+NAK8 = make_network([F.nakagami(m) for m in (2.2, 1.8, 1.6, 2.5, 2.1, 2.9, 1.7, 1.3)])
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +132,7 @@ def test_estimate_one_core_runs_inline(monkeypatch):
     assert estimate_outage(net, 10.0, 10**6, seed=7, block_size=1 << 17) == ref
 
 
-def test_bench_tracer_contract(monkeypatch):
+def test_bench_tracer_contract():
     # the benchmark tracer wraps package functions by name and counts the
     # sampler's draws from its size argument; every name it patches must
     # exist, and the analytic path and the oracle must reach the calls it wraps
@@ -146,7 +149,6 @@ def test_bench_tracer_contract(monkeypatch):
         # one worker: the tracer's counters take no lock
         estimate_outage(rayleigh_chain(2), 10.0, 5000, seed=3, block_size=2048, n_workers=1)
         mellin.build_expansion(rayleigh_chain(2), 2)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         oracle_outage(rayleigh_chain(3), 100.0)
     finally:
         tracer.uninstall()
@@ -274,8 +276,8 @@ def test_threshold_table_unit_mass_and_total():
     # mass of U_2 but what the window leaves out
     v, wg, omitted = montecarlo._threshold_table(rayleigh_chain(1), montecarlo.PANEL_WIDTH)
     assert (v.tolist(), wg.tolist(), omitted) == ([1.0], [1.0], 0.0)
-    for name in ("nak3", "ric3", "hoyt4", "wei4"):
-        v, wg, omitted = montecarlo._threshold_table(REFERENCE_CONFIGS[name], montecarlo.PANEL_WIDTH)
+    for name, net in REFERENCE_CONFIGS.items():
+        v, wg, omitted = montecarlo._threshold_table(net, montecarlo.PANEL_WIDTH)
         assert v.shape == wg.shape
         assert abs(wg.sum() - 1.0) <= omitted + 1e-14, name
 
@@ -352,7 +354,8 @@ def test_oracle_deep_snr_matches_adaptive_rule(name, db):
 
 
 def test_oracle_value_settled_under_panel_halving(monkeypatch):
-    cases = [(REFERENCE_CONFIGS[n], 10.0 ** (db / 10.0)) for n in ("nak3", "inhom") for db in (20, 60)]
+    cases = [(REFERENCE_CONFIGS[n], 10.0 ** (db / 10.0)) for n in ("nak3", "inhom", "ric3", "wei4")
+             for db in (20, 60)]
     cases.append((make_network([F.rician(3.0), F.hoyt(0.5)]), 1e6))
     coarse = [oracle_outage(net, g) for net, g in cases]
     monkeypatch.setattr(montecarlo, "PANEL_WIDTH", montecarlo.PANEL_WIDTH / 2)
@@ -381,8 +384,6 @@ def test_oracle_kernel_evaluates_only_inside_window(monkeypatch, rhos):
     # stated error already counts their mass, and the value does not move
     net = make_network([hop.model for hop in REFERENCE_CONFIGS["ric3"].hops], rhos=rhos)
     n_kernel = 0
-    # one core: the kernel blocks run in this thread, so the count takes no lock
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
 
     def counting_pdf(model, x):
         nonlocal n_kernel
@@ -407,34 +408,19 @@ def test_oracle_kernel_evaluates_only_inside_window(monkeypatch, rhos):
 
 @pytest.mark.parametrize("name", ["ric3", "hoyt3", "nak8"])
 def test_oracle_one_core_runs_inline(monkeypatch, name):
-    # the kernel blocks run on one thread per core of the affinity mask, and
-    # each writes only its own rows: values are the same on one core or four
-    net = (make_network([F.nakagami(m) for m in (2.2, 1.8, 1.6, 2.5, 2.1, 2.9, 1.7, 1.3)])
-           if name == "nak8" else REFERENCE_CONFIGS[name])
+    # the kernel blocks run in the calling thread whatever the affinity mask,
+    # so values on four cores are those of one core, byte for byte
+    net = NAK8 if name == "nak8" else REFERENCE_CONFIGS[name]
     gammas = 10.0 ** np.arange(2.0, 6.5, 0.5)  # 20-60 dB
-    pool_sizes = []
-
-    class CountingPool(montecarlo.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            pool_sizes.append(max_workers)
-            super().__init__(max_workers)
-
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
-    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", CountingPool)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # switch threads often, to shake out shared writes
-    try:
-        threaded = oracle_outage(net, gammas)
-    finally:
-        sys.setswitchinterval(interval)
-    assert set(pool_sizes) == {4}
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    one_core = oracle_outage(net, gammas)
 
     def no_pool(*args, **kwargs):
-        raise AssertionError("a one-core oracle started a thread pool")
+        raise AssertionError("the oracle started a thread pool")
 
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", no_pool)
-    assert oracle_outage(net, gammas).tobytes() == threaded.tobytes()
+    assert oracle_outage(net, gammas).tobytes() == one_core.tobytes()
 
 
 def test_oracle_raises_when_window_leaves_out_mass():
@@ -455,21 +441,38 @@ def test_oracle_four_hops_inside_mc_interval(name):
 
 def test_oracle_eight_hops_settled_under_panel_halving(monkeypatch):
     # six Nystrom steps converge with the panels, out to 60 dB
-    nak8 = make_network([F.nakagami(m) for m in (2.2, 1.8, 1.6, 2.5, 2.1, 2.9, 1.7, 1.3)])
     gammas = np.array([1e2, 1e4, 1e6])
-    coarse = oracle_outage(nak8, gammas)
+    coarse = oracle_outage(NAK8, gammas)
     monkeypatch.setattr(montecarlo, "PANEL_WIDTH", montecarlo.PANEL_WIDTH / 2)
-    np.testing.assert_allclose(coarse, oracle_outage(nak8, gammas), rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(coarse, oracle_outage(NAK8, gammas), rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("name", [p.stem for p in sorted(CONFIG_DIR.glob("*.json"))] + ["nak8"])
+def test_oracle_settles_at_the_start_rule(monkeypatch, name):
+    # every shipped config and nak8 settles at the first pair of rules out to
+    # 60 dB: the start width and twice it, or the start width alone for one hop
+    net = NAK8 if name == "nak8" else parse_config((CONFIG_DIR / f"{name}.json").read_text())
+    quad, widths = montecarlo._quad, []
+
+    def recording_quad(width):
+        widths.append(width)
+        return quad(width)
+
+    monkeypatch.setattr(montecarlo, "_quad", recording_quad)
+    oracle_outage(net, 10.0 ** np.arange(0.0, 6.5, 0.5))  # 0-60 dB
+    width = montecarlo.PANEL_WIDTH
+    assert widths == ([width, 2 * width] if net.n_hops > 1 else [width])
 
 
 def test_oracle_sharp_hops_settle_at_a_finer_rule():
-    # ln X of a Weibull m = 10 gain is about 1/10 wide: the start panels are
-    # 1.4e-5 off and 0.5-wide ones 1.7e-8, so the oracle halves the width
-    # until a rule and its doubled rule agree
+    # ln X of a Weibull m = 10 gain is about 1/10 wide: the 1.5-wide start
+    # panels are 9.5e-4 off, 0.75-wide ones 4.3e-6 and 0.375-wide ones
+    # 8.6e-11, so the oracle halves the width until a rule and its doubled
+    # rule agree, at 0.1875
     net = make_network([F.weibull(10.0)] * 3)
     gammas = 10.0 ** np.arange(0.0, 6.5, 0.5)  # 0-60 dB
     value = oracle_outage(net, gammas)
-    v, wg, _ = montecarlo._threshold_table(net, montecarlo.PANEL_WIDTH / 8)
+    v, wg, _ = montecarlo._threshold_table(net, montecarlo.PANEL_WIDTH / 16)
     finest = np.array([channels.cdf(net.hops[0].model, xi1 * v) @ wg for xi1 in net.xi(gammas)[0]])
     np.testing.assert_allclose(value, finest, rtol=1e-12, atol=0.0)
 
@@ -479,7 +482,7 @@ def test_oracle_raises_past_the_finest_panel_width():
     # finest panels; hop N's kernel is one column, so each rule is cheap
     net = make_network([F.nakagami(2.0), F.weibull(1000.0)])
     # (x / theta)^1000 is inf above x of about 2, where the density is 0
-    with pytest.raises(QuadratureConvergenceError, match="width 0.125"):
+    with pytest.raises(QuadratureConvergenceError, match="width 0.09375"):
         oracle_outage(net, 100.0)
 
 
