@@ -1,8 +1,8 @@
 """Ground-truth engines: end-to-end SNR sampling, Monte Carlo outage
 estimation with exact binomial confidence intervals, and an exact
 quadrature oracle for networks of any length, by a backward recursion on a
-log-gain grid whose panel width is halved until the outage on panels of
-twice the width agrees with it.
+uniform log-gain grid whose trapezoid step is halved until the outage at
+twice the step agrees with it.
 
 Randomness comes from counter-based Philox streams keyed by (seed, stream
 index), so results are reproducible and independent of how work is split
@@ -17,7 +17,6 @@ The oracle runs on the calling thread.
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -163,38 +162,34 @@ def estimate_outage(
 # Exact quadrature oracle
 # ---------------------------------------------------------------------------
 
-#: Log-gain window t = ln x of the oracle's rules, the panel width it starts
-#: from (34 panels, G = 544 nodes; it halves it down to PANEL_WIDTH / 16) and
-#: the nodes per panel.
+#: Log-gain window t = ln x of the oracle's rules and the trapezoid step it
+#: starts from (G = 341 nodes; it halves it down to PANEL_WIDTH / 16).
 T_LO, T_HI = -45.0, 6.0
-PANEL_WIDTH = 1.5
-GL_NODES = 16
+PANEL_WIDTH = 0.15
 
 #: Rows per block of a hop's kernel: ROW_BLOCK * G // columns, so a block
-#: holds at most ROW_BLOCK x G points (16 x 544 doubles, 70 kB, at the start
-#: width and 1.1 MB at the finest), and the pdf temporaries stay small where
-#: a whole middle-hop kernel would be 2.4-600 MB;
+#: holds at most ROW_BLOCK x G points (16 x 341 doubles, 44 kB, at the start
+#: step and 0.7 MB at the finest), and the pdf temporaries stay small where
+#: a whole middle-hop kernel would be 0.9-237 MB;
 #: hop N's one-column kernel is one block.  Each block is evaluated only on
 #: the columns where X_n <= e^T_HI for its first row, about 0.62 G^2 points
 #: a middle hop for r_n = 1; every point left out has X_n > e^T_HI, mass
 #: the stated error counts as P(X_n > e^T_HI).
 ROW_BLOCK = 16
 
-#: Largest stated error (omitted mass plus panel-doubling difference), relative to the result.
+#: Largest stated error (omitted mass plus step-doubling difference), relative to the result.
 ORACLE_RTOL = 1e-6
 
 
-#: Gauss-Legendre rules on [-1, 1] by node count, each made on first use.
-_legendre = functools.cache(np.polynomial.legendre.leggauss)
-
-
 def _quad(width: float):
-    """Nodes t and weights of the composite Gauss-Legendre rule on panels of
-    ``width`` from T_LO, the last of which ends at or before T_HI."""
-    x, w = _legendre(GL_NODES)
-    half = 0.5 * width
-    mid = np.arange(T_LO + half, T_HI, width)[:, None]
-    return (mid + half * x).ravel(), np.tile(half * w, mid.size)
+    """Nodes t_k = T_LO + k ``width`` <= T_HI and weights, all ``width``, of the
+    trapezoid rule: geometric in ``width`` on integrands analytic in a strip
+    (Trefethen & Weideman, SIAM Rev. 56, 2014).  The edge weights are not
+    halved, as the integrands there are of the order of the omitted mass;
+    the rule at 2 ``width`` takes every other node."""
+    t = T_LO + width * np.arange((T_HI - T_LO) // width + 2)
+    t = t[t <= T_HI]
+    return t, np.full_like(t, width)
 
 
 def _nystrom_step(model, v: np.ndarray, wg: np.ndarray, t: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -212,20 +207,20 @@ def _nystrom_step(model, v: np.ndarray, wg: np.ndarray, t: np.ndarray, x: np.nda
 
 
 def _threshold_table(network: NetworkConfig, width: float):
-    """The gamma_bar-independent stage of the oracle on panels of ``width``: (v, wg, omitted).
+    """The gamma_bar-independent stage of the oracle at trapezoid step ``width``: (v, wg, omitted).
 
     With U_{N+1} = 0 and U_n = (1 + r_n U_{n+1})/X_n, r_n = rho_{n+1}/rho_n,
     the chain is in outage when X_1 <= xi_1 V, V = 1 + r_1 U_2, so the outage
     is sum_j wg_j F_1(xi_1 v_j) over the nodes v_j of V and their weights
     wg_j.  The recursion starts from the unit mass at U_{N+1} = 0, that is
     v = [1.0] with weight [1.0], and runs one Nystrom step per hop
-    n = N, ..., 2: the density of s = ln U_n at the reflected nodes
-    s_i = -t_i is g_n(s_i) = sum_j wg_j x pdf_n(x), x = v_j e^{t_i}, and the
-    next nodes are v = 1 + r_{n-1} e^{s_i} with weights wg = w g_n.  For
-    N = 1 no step runs and the table is the unit mass at v = 1.  ``omitted`` is the mass
-    the log-gain window leaves out, per hop an outage mass from cdf:
-    P(X_n > e^T_HI), which also bounds the kernel points ROW_BLOCK leaves
-    out, plus sum_j wg_j F_n(v_j e^T_LO).
+    n = N, ..., 2: the density of s = ln U_n at the reflected nodes s_i = -t_i
+    of the rule :func:`_quad` is g_n(s_i) = sum_j wg_j x pdf_n(x),
+    x = v_j e^{t_i}, and the next nodes are v = 1 + r_{n-1} e^{s_i} with
+    weights wg = w g_n.  For N = 1 no step runs and the table is the unit
+    mass at v = 1.  ``omitted`` is the mass the log-gain window leaves out,
+    per hop an outage mass from cdf: P(X_n > e^T_HI), which also bounds the
+    kernel points ROW_BLOCK leaves out, plus sum_j wg_j F_n(v_j e^T_LO).
     """
     v, wg, omitted = np.ones(1), np.ones(1), 0.0
     hops = network.hops
@@ -243,16 +238,16 @@ def _threshold_table(network: NetworkConfig, width: float):
 
 
 def oracle_outage(network: NetworkConfig, gamma_bar):
-    """Exact outage probability of an N-hop chain on a log-gain grid sized by panel doubling.
+    """Exact outage probability of an N-hop chain on a log-gain grid sized by step doubling.
 
     Elementwise on an array of gamma_bar, each finite and > 0 (scalar in,
     scalar out).  Hop 1 integrates out in closed form, so the outage is the
     outage mass E[F1(xi1 V)], with no 1 - survival step: one dot product of
     F1 at the nodes of :func:`_threshold_table` with its weights per
     gamma_bar, the only step that depends on gamma_bar.  The table holds the
-    density of ln U_2 at the nodes of composite 16-point Gauss-Legendre
-    panels of width h on [-T_HI, -T_LO], the log-gain window [T_LO, T_HI]
-    reflected, from one Nystrom step for every hop n >= 2.  The outage P_h is
+    density of ln U_2 at the nodes of the trapezoid rule of step h on
+    [-T_HI, -T_LO], the log-gain window [T_LO, T_HI] reflected, from one
+    Nystrom step for every hop n >= 2.  The outage P_h is
     made at h = PANEL_WIDTH and at 2h (not for one hop, which has no step);
     while |P_h - P_2h| exceeds ORACLE_RTOL of P_h at any gamma_bar, h is
     halved and P_h becomes the coarse value, down to PANEL_WIDTH / 16.  The
@@ -274,7 +269,7 @@ def oracle_outage(network: NetworkConfig, gamma_bar):
     coarse = outage(2.0 * width)[0] if len(network.hops) > 1 else value
     while np.any(np.abs(value - coarse) > ORACLE_RTOL * value):
         if width <= PANEL_WIDTH / 16:
-            raise QuadratureConvergenceError(f"panels of width {width:g} still move the outage by up to "
+            raise QuadratureConvergenceError(f"steps of width {width:g} still move the outage by up to "
                                              f"{np.max(np.abs(value - coarse) / value):.2e} of itself, "
                                              f"above {ORACLE_RTOL:g}")
         width /= 2.0
@@ -283,6 +278,6 @@ def oracle_outage(network: NetworkConfig, gamma_bar):
     if np.any(error > ORACLE_RTOL * value):
         raise QuadratureConvergenceError(
             f"log-gain window [{T_LO:g}, {T_HI:g}] leaves out gain mass {omitted:.2e}, which with the "
-            f"panel-doubling difference is above {ORACLE_RTOL:g} of the outage {np.min(value):.3e}"
+            f"step-doubling difference is above {ORACLE_RTOL:g} of the outage {np.min(value):.3e}"
         )
     return value.reshape(gamma_bar.shape)[()]

@@ -478,10 +478,11 @@ def test_exit_codes(tmp_path, capsys):
 
 
 def test_sweep_oracle_on_sharp_weibull_hops_fails_without_runtime_warnings(tmp_path):
-    # (x / theta)^40 overflows to inf on the oracle's window, where the density
-    # is 0 and the CDF 1; the finest panels are still too coarse, so the sweep
-    # stops with a numerical failure and no numpy warning on stderr
-    doc = {"gamma_t_db": 0.0, "hops": [{"fading": "weibull", "m": 40.0}] * 2}
+    # (x / theta)^m overflows to inf on the oracle's window, where the density
+    # is 0 and the CDF 1; ln X of the m = 1000 hop is about 1e-3 wide, far
+    # below the finest step, so the sweep stops with a numerical failure and
+    # no numpy warning on stderr
+    doc = {"gamma_t_db": 0.0, "hops": [{"fading": "weibull", "m": 40.0}, {"fading": "weibull", "m": 1000.0}]}
     cfg = _write(tmp_path, "wei40.json", json.dumps(doc))
     proc = subprocess.run(
         [sys.executable, "-m", "relayasym.cli", "sweep", "--config", cfg,
@@ -491,6 +492,7 @@ def test_sweep_oracle_on_sharp_weibull_hops_fails_without_runtime_warnings(tmp_p
         env={**os.environ, "PYTHONPATH": str(Path(relayasym.__file__).parents[1])},
     )
     assert proc.returncode == EXIT_NUMERICAL
+    assert "still move the outage" in proc.stderr
     assert "RuntimeWarning" not in proc.stderr
 
 

@@ -364,7 +364,7 @@ def test_oracle_value_settled_under_panel_halving(monkeypatch):
 
 
 def _full_kernel_oracle(net, gamma_bar, width):
-    """The 3-hop oracle on panels of ``width``, its middle-hop kernel evaluated at all G x G points."""
+    """The 3-hop oracle at step ``width``, its middle-hop kernel evaluated at all G x G points."""
     t, w = montecarlo._quad(width)
     x, es = np.exp(t), np.exp(-t)
     first, mid, last = net.hops
@@ -440,7 +440,7 @@ def test_oracle_four_hops_inside_mc_interval(name):
 
 
 def test_oracle_eight_hops_settled_under_panel_halving(monkeypatch):
-    # six Nystrom steps converge with the panels, out to 60 dB
+    # six Nystrom steps converge with the step, out to 60 dB
     gammas = np.array([1e2, 1e4, 1e6])
     coarse = oracle_outage(NAK8, gammas)
     monkeypatch.setattr(montecarlo, "PANEL_WIDTH", montecarlo.PANEL_WIDTH / 2)
@@ -465,10 +465,9 @@ def test_oracle_settles_at_the_start_rule(monkeypatch, name):
 
 
 def test_oracle_sharp_hops_settle_at_a_finer_rule():
-    # ln X of a Weibull m = 10 gain is about 1/10 wide: the 1.5-wide start
-    # panels are 9.5e-4 off, 0.75-wide ones 4.3e-6 and 0.375-wide ones
-    # 8.6e-11, so the oracle halves the width until a rule and its doubled
-    # rule agree, at 0.1875
+    # ln X of a Weibull m = 10 gain is about 1/10 wide: the start step 0.15
+    # is 1.1e-2 off, step 0.075 2.0e-5 and step 0.0375 7.5e-11, so the oracle
+    # halves the step until a rule and its doubled rule agree, at 0.01875
     net = make_network([F.weibull(10.0)] * 3)
     gammas = 10.0 ** np.arange(0.0, 6.5, 0.5)  # 0-60 dB
     value = oracle_outage(net, gammas)
@@ -479,11 +478,25 @@ def test_oracle_sharp_hops_settle_at_a_finer_rule():
 
 def test_oracle_raises_past_the_finest_panel_width():
     # ln X of a Weibull m = 1000 gain is about 1e-3 wide, far below the
-    # finest panels; hop N's kernel is one column, so each rule is cheap
+    # finest step; hop N's kernel is one column, so each rule is cheap
     net = make_network([F.nakagami(2.0), F.weibull(1000.0)])
     # (x / theta)^1000 is inf above x of about 2, where the density is 0
-    with pytest.raises(QuadratureConvergenceError, match="width 0.09375"):
+    with pytest.raises(QuadratureConvergenceError, match="width 0.009375"):
         oracle_outage(net, 100.0)
+
+
+def test_quad_rules_nest():
+    # each halving of the step adds a node between every two of the coarser
+    # rule, and the start rule spans the whole window in 341 nodes
+    t, _ = montecarlo._quad(montecarlo.PANEL_WIDTH)
+    assert (t.size, t[-1]) == (341, montecarlo.T_HI)
+    widths = [2.0 * montecarlo.PANEL_WIDTH / 2**k for k in range(6)]  # start pair down to the floor
+    for width in widths:
+        t, w = montecarlo._quad(width)
+        assert t[0] == montecarlo.T_LO and t[-1] <= montecarlo.T_HI, width
+        assert np.all(w == width), width
+    for coarse, fine in zip(widths, widths[1:]):
+        assert montecarlo._quad(fine)[0][::2].tobytes() == montecarlo._quad(coarse)[0].tobytes(), fine
 
 
 def test_oracle_small_q_hoyt_first_hop():
