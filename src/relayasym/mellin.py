@@ -17,14 +17,15 @@ other pole.  ``_residues`` evaluates a list of planned residues: one
 log_moment call per distinct hop model on every distinct shifted ring they
 meet (``_ring_tables``), then the Laurent data of a block of residues at a
 time off one FFT of their contour samples (:func:`residue_at`).
-:func:`leading_term` evaluates the first residue of the lambda_N = 0 term;
 :func:`build_expansion` plans the residues of every term, at most
-``MAX_SERIES_TERMS`` terms, evaluates them in one pass and sums them by
-exponent, and its truncation check compares the sum of all orders with the
-sum of the orders below lambda_max.  Each hop's poles are the floats
-r0 - step*j that :func:`relayasym.channels.mellin_poles` lists; it refuses
-a window of more than ``MAX_LATTICE_POLES`` poles; :func:`leading_pole`
-lists none.  The expansion is a series in 1/gamma_bar and ln(gamma_bar),
+``MAX_SERIES_TERMS`` terms, evaluates them in one pass, weights each by one
+log-space number, the term coefficient times (gamma_t rho_N)^-s0
+(``_rebase_coefficients``), and sums them by exponent; its truncation check
+compares the sum of all orders with the sum of the orders below lambda_max.
+:func:`leading_term` is the top term of a lambda_max = 0 build.  Each hop's
+poles are the floats r0 - step*j that :func:`relayasym.channels.mellin_poles`
+lists; it refuses a window of more than ``MAX_LATTICE_POLES`` poles;
+:func:`leading_pole` lists none.  The expansion is a series in 1/gamma_bar and ln(gamma_bar),
 so it is evaluated only for gamma_bar > 1.
 """
 
@@ -132,28 +133,24 @@ class AsymptoticExpansion:
 
 
 def _shift_terms(network: NetworkConfig, lam: int):
-    """Yield (shifts, coefficient) for each series term with lambda_N = lam.
+    """Yield (shifts, log_weight) for each series term with lambda_N = lam.
 
     The shifts (0, lambda_2, ..., lambda_N = lam) are nondecreasing, in
-    lexicographic order; the coefficient is
-    prod_j (-rho_j/rho_N)^(lambda_{j+1}-lambda_j) / (lambda_{j+1}-lambda_j)!.
+    lexicographic order.  The term's coefficient is
+    prod_j (-rho_j/rho_N)^d_j / d_j!, d_j = lambda_{j+1} - lambda_j, whose
+    sign is (-1)^lam for every term; log_weight is the log of its magnitude,
+    sum_j d_j (ln rho_j - ln rho_N) - ln d_j!, finite for any positive rhos.
     A one-hop network has the lambda = 0 term (0,) alone.
     """
     if network.n_hops == 1:
         if lam == 0:
-            yield (0,), 1.0
+            yield (0,), 0.0
         return
-    rho_n = network.hops[-1].rho
+    ln_rho_n = math.log(network.hops[-1].rho)
     for mid in itertools.combinations_with_replacement(range(lam + 1), network.n_hops - 2):
         shifts = (0, *mid, lam)
-        try:
-            coeff = math.prod((-hop.rho / rho_n) ** (hi - lo) / math.factorial(hi - lo)
-                              for hop, lo, hi in zip(network.hops, shifts, shifts[1:]))
-        except OverflowError:
-            coeff = math.inf
-        if not math.isfinite(coeff):
-            raise OverflowError(f"the coefficient of series term {shifts} overflows a float")
-        yield shifts, coeff
+        yield shifts, sum((hi - lo) * (math.log(hop.rho) - ln_rho_n) - math.lgamma(hi - lo + 1)
+                          for hop, lo, hi in zip(network.hops, shifts, shifts[1:]))
 
 
 def enumerate_poles(network: NetworkConfig, shifts, re_min: float) -> list[tuple[float, int, float]]:
@@ -322,23 +319,23 @@ def _residues(network: NetworkConfig, jobs) -> list[list[float]]:
     return out
 
 
-def _rebase_coefficients(multiplier: float, derivs, s0: float, a_scale: float):
+def _rebase_coefficients(sign: float, log_weight: float, derivs, s0: float, a_scale: float):
     """Turn residue Laurent data into ln(gamma_bar) polynomial coefficients.
 
     With k = len(derivs), the residue at s0 of xi^-s f(s) is
     xi^-s0 / (k-1)! * sum_m C(k-1,m) H^(k-1-m)(s0) (-ln xi)^m
     and xi = a_scale / gamma_bar, so (-ln xi)^m is expanded binomially in
-    ln(gamma_bar), exactly.
+    ln(gamma_bar), exactly.  The residue is weighted by
+    sign * exp(log_weight) a_scale^-s0 / (k-1)!, taken as one exp so that it
+    overflows only when the weight itself does.
     """
     k = len(derivs)
     ln_a = math.log(a_scale)
     try:
-        pref = multiplier * a_scale ** (-s0) / math.gamma(k)
+        pref = sign * math.exp(log_weight - s0 * ln_a - math.lgamma(k))
     except OverflowError:
-        pref = math.inf
-    if not math.isfinite(pref):
         raise OverflowError(f"the residue at s = {s0:g} overflows a float: (gamma_t rho_N)^-s0 = "
-                            f"{a_scale:g}^{-s0:g}, times {multiplier:g} / {k - 1}!")
+                            f"{a_scale:g}^{-s0:g}, times e^{log_weight:g} / {k - 1}!") from None
     coeffs = np.zeros(k)
     for m in range(k):
         base = math.comb(k - 1, m) * derivs[k - 1 - m]
@@ -361,20 +358,18 @@ def leading_pole(network: NetworkConfig) -> tuple[float, int]:
 def leading_term(network: NetworkConfig):
     """Rightmost non-origin pole of G(s) and its full residue polynomial.
 
-    Returns (term, s0, k): the lambda_N = 0 residue contribution at s0 as an
-    AsymptoteTerm in the ln(gamma_bar) basis (all log powers, not just the
-    top one), the pole location, and its effective order.  The diversity
-    order is -s0.
+    Returns (term, s0, k): the top term of the lambda_N = 0 expansion over
+    the window Re(s) >= s0 - 0.5, an AsymptoteTerm in the ln(gamma_bar)
+    basis (all log powers, not just the top one), its exponent s0 and its
+    number of log powers k.  The diversity order is -s0.  It warns where
+    that build does.
     """
-    s0, _ = leading_pole(network)
-    shifts = (0,) * network.n_hops
-    # skip the origin pole: its residue 1 cancels the leading 1 of the outage formula
-    poles = enumerate_poles(network, shifts, s0 - 0.5)
-    loc, order, context = next(pole for pole in poles if abs(pole[0]) >= POLE_MERGE_TOL)
-    [derivs] = _residues(network, [(shifts, loc, order, context)])
-    a_scale = network.gamma_t * network.hops[-1].rho
-    coeffs = _rebase_coefficients(-1.0, derivs, loc, a_scale)
-    return AsymptoteTerm(loc, tuple(coeffs)), loc, len(derivs)
+    s0 = leading_pole(network)[0]
+    terms = build_expansion(network, 0, s0 - 0.5).terms
+    if not terms:
+        raise ArithmeticError(f"the leading term at s0 = {s0:g} is below the smallest coefficient "
+                              "an expansion keeps")
+    return terms[0], terms[0].exponent, len(terms[0].log_coeffs)
 
 
 def _collect(entries) -> tuple[AsymptoteTerm, ...]:
@@ -422,8 +417,9 @@ def build_expansion(
     hop N is off the leading pole s0, where the leading constant is a
     partial sum.  More than MAX_SERIES_TERMS series terms raise ValueError
     before any pole is listed, and so does a window with no residue
-    (re_min > s0) once they are.  A term coefficient or a residue prefactor
-    (gamma_t rho_N)^-s0 that overflows a float raises OverflowError naming it.
+    (re_min > s0) once they are.  A residue weight, the term coefficient
+    times (gamma_t rho_N)^-s0, that overflows a float raises OverflowError
+    naming the prefactor.
     """
     if lambda_max < 0:
         raise ValueError("lambda_max must be >= 0")
@@ -442,18 +438,19 @@ def build_expansion(
     if re_min is None:
         re_min = s0 - DEFAULT_RE_MIN_OFFSET
     a_scale = network.gamma_t * network.hops[-1].rho
-    # plan every residue of the build, (lambda_N, coefficient, job), then evaluate them in one pass
-    plan = [(lam, coeff, (shifts, *pole))
+    # plan every residue of the build, (lambda_N, log weight, job), then evaluate them in one pass
+    plan = [(lam, log_weight, (shifts, *pole))
             for lam in range(lambda_max + 1 if network.n_hops > 1 else 1)  # one hop: lambda = 0 alone
-            for shifts, coeff in _shift_terms(network, lam)
+            for shifts, log_weight in _shift_terms(network, lam)
             for pole in enumerate_poles(network, shifts, re_min)
             if lam or abs(pole[0]) >= POLE_MERGE_TOL]
     if not plan:  # re_min > s0: no pole but the origin's is in the window
         raise ValueError(f"no residue in the window Re(s) >= {re_min:g}: the leading pole is s0 = {s0:g}")
     laurent = _residues(network, [job for _, _, job in plan])
-    # (lambda_N, exponent, coefficients), one per residue
-    entries = [(lam, job[1], _rebase_coefficients(-coeff, derivs, job[1], a_scale))
-               for (lam, coeff, job), derivs in zip(plan, laurent)]
+    # (lambda_N, exponent, coefficients), one per residue, of sign -(-1)^lambda_N:
+    # the term's sign times the -1 of the outage formula
+    entries = [(lam, job[1], _rebase_coefficients((-1.0) ** (lam + 1), log_weight, derivs, job[1], a_scale))
+               for (lam, log_weight, job), derivs in zip(plan, laurent)]
     expansion = AsymptoticExpansion(_collect(entries), lambda_max, re_min, network)
 
     if warn_gamma_bar is not None and lambda_max >= 1:

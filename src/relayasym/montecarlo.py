@@ -78,19 +78,6 @@ def _finite_positive(gamma_bar) -> np.ndarray:
     return gamma_bar
 
 
-def _n_cores() -> int:
-    """Cores in the process's CPU affinity mask: the default worker count."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-
-def _map(fn, items, workers: int) -> list:
-    """``[fn(item) for item in items]``, on a pool of ``workers`` threads when more than one."""
-    if workers == 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def _count_block_outages(network: NetworkConfig, gamma_bar: float, seed: int,
                          stream_index: int, size: int, buffers: np.ndarray) -> int:
     """Outages among one block of ``size`` chains, drawn from substream (seed, stream_index).
@@ -139,8 +126,8 @@ def estimate_outage(
         raise ValueError(f"n_samples must be from 1000 to {MAX_SAMPLES:.0e}, got {n_samples}")
     blocks = [(stream_base + b, min(block_size, n_samples - lo))
               for b, lo in enumerate(range(0, n_samples, block_size))]
-    if n_workers is None:  # every core this process may run on
-        n_workers = _n_cores()
+    if n_workers is None:  # every core in this process's CPU affinity mask
+        n_workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     workers = min(max(1, int(n_workers)), len(blocks))
     # Worker w counts blocks w, w + workers, ... in buffers[w].  One allocation
     # for all workers is large enough (two or more at the default block size)
@@ -152,7 +139,11 @@ def estimate_outage(
         return sum(_count_block_outages(network, gamma_bar, seed, idx, size, buffers[w])
                    for idx, size in blocks[w::workers])
 
-    n_outages = sum(_map(count_share, range(workers), workers))
+    if workers == 1:
+        n_outages = count_share(0)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            n_outages = sum(pool.map(count_share, range(workers)))
     p_hat = n_outages / n_samples
     ci_low, ci_high = clopper_pearson(n_outages, n_samples)
     return OutageEstimate(p_hat, ci_low, ci_high, n_samples, n_outages, seed)

@@ -463,18 +463,23 @@ def test_exit_codes(tmp_path, capsys):
     started = time.perf_counter()
     assert cli.main(["simulate", "--config", ray, "--db-from", "30", "--samples", str(10**21)]) == EXIT_CONFIG
     assert time.perf_counter() - started < 1.0
-    # float overflows in the expansion name what overflowed: a term coefficient
-    # with 171! in it, one with (rho_1/rho_2)^2 = 1e400, and (gamma_t rho_N)^-s0 = 1e600
-    tiny_rho = {"hops": [{"fading": "nakagami", "m": 2.0}, {"fading": "nakagami", "m": 2.0, "rho": 1e-200}]}
+    # a residue weight that overflows a float names (gamma_t rho_N)^-s0 = 1e600
     big_gamma_t = {"gamma_t_db": 300, "hops": [{"fading": "nakagami", "m": 20.0}] * 2}
-    for doc, options, named in (
-        ({"hops": [{"fading": "nakagami", "m": 1.0}] * 2}, ["--lambda-max", "171"], "series term (0, 171)"),
-        (tiny_rho, [], "series term (0, 2)"),
-        (big_gamma_t, [], "(gamma_t rho_N)^-s0 = 1e+30^20"),
-    ):
-        assert cli.main(["asymptote", "--config", _write(tmp_path, "over.json", json.dumps(doc)), *options]) == EXIT_NUMERICAL
-        err = capsys.readouterr().err
-        assert named in err and "overflows a float" in err and "Traceback" not in err
+    assert cli.main(["asymptote", "--config", _write(tmp_path, "over.json", json.dumps(big_gamma_t))]) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert "(gamma_t rho_N)^-s0 = 1e+30^20" in err and "overflows a float" in err and "Traceback" not in err
+    # a term coefficient with 171! or (rho_1/rho_2)^2 = 1e400 in it no longer
+    # overflows, as each residue is weighted in log space; on two Rayleigh hops
+    # the terms above lambda = 2 hold no residue in the window, so lambda_max
+    # 2, 171 and 1000 print the same terms
+    tiny_rho = {"hops": [{"fading": "nakagami", "m": 2.0}, {"fading": "nakagami", "m": 2.0, "rho": 1e-200}]}
+    assert cli.main(["asymptote", "--config", _write(tmp_path, "tiny.json", json.dumps(tiny_rho))]) == 0
+    capsys.readouterr()
+    printed = []
+    for lambda_max in ("2", "171", "1000"):
+        assert cli.main(["asymptote", "--config", ray2, "--lambda-max", lambda_max]) == 0
+        printed.append(capsys.readouterr().out.splitlines()[1:])  # the terms, past the header
+    assert printed[0] == printed[1] == printed[2] and printed[0][1:]
 
 
 def test_sweep_oracle_on_sharp_weibull_hops_fails_without_runtime_warnings(tmp_path):

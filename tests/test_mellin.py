@@ -50,12 +50,15 @@ def test_shift_terms_order_and_count():
 
 
 def test_shift_terms_coefficient():
+    # the coefficient prod (-rho_j/rho_N)^d_j / d_j!, d_j = lambda_{j+1} - lambda_j,
+    # is (-1)^lambda exp(log_weight)
     net = make_network([F.nakagami(1.0)] * 4, rhos=[1.0, 2.0, 3.0, 4.0])
-    coefficient = dict(mellin._shift_terms(net, 3))[(0, 1, 1, 3)]
-    # prod (-rho_j/rho_N)^(lambda_{j+1}-lambda_j) / (lambda_{j+1}-lambda_j)! = (-1/4) * (-3/4)^2/2
-    assert coefficient == pytest.approx((-0.25) * (0.75**2) / 2.0, rel=1e-14)
-    for shifts, coefficient in mellin._shift_terms(net, 3):
-        assert math.copysign(1.0, coefficient) == (-1.0) ** shifts[-1], shifts
+    log_weight = dict(mellin._shift_terms(net, 3))[(0, 1, 1, 3)]
+    assert -math.exp(log_weight) == pytest.approx((-0.25) * (0.75**2) / 2.0, rel=1e-14)
+    for shifts, log_weight in mellin._shift_terms(net, 3):
+        want = math.prod((-hop.rho / 4.0) ** (hi - lo) / math.factorial(hi - lo)
+                         for hop, lo, hi in zip(net.hops, shifts, shifts[1:]))
+        assert (-1.0) ** shifts[-1] * math.exp(log_weight) == pytest.approx(want, rel=1e-14), shifts
 
 
 # ---------------------------------------------------------------------------
@@ -436,6 +439,22 @@ def test_warns_when_hop_n_is_off_the_leading_pole(net, lambda_max, warns):
         assert f"hop {net.n_hops} " in hits[0]
 
 
+def test_leading_term_warns_when_hop_n_is_off_the_leading_pole():
+    # its constant is then the lambda = 0 partial sum, as in build_expansion(net, 0)
+    with pytest.warns(TruncationWarning, match=r"hop 3 \(pole -3.5\) .* lambda_max = 0 constant"):
+        mellin.leading_term(_nakagami_chain(1.5, 2.5, 3.5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", TruncationWarning)
+        for net in NINE_CONFIGS.values():
+            mellin.leading_term(net)
+
+
+def test_leading_term_below_the_coefficient_floor_raises():
+    # (gamma_t rho_2)^2 = 1e-320: the lambda = 0 expansion keeps no term
+    with pytest.raises(ArithmeticError, match="below the smallest coefficient"):
+        mellin.leading_term(make_network([F.nakagami(2.0)] * 2, rhos=[1.0, 1e-160]))
+
+
 @pytest.mark.parametrize("ms, lambda_max", [((1.0, 2.0), 1), ((2.0, 3.0), 2)])
 def test_off_pole_constant_exact_where_the_binomial_sum_is_finite(ms, lambda_max):
     # Nakagami hop 1 with integer m on a simple pole, theta = rho = gamma_t = 1:
@@ -500,6 +519,19 @@ def test_build_expansion_small_hoyt_q_matches_oracle():
     assert exp.terms[0].exponent == pytest.approx(-1.0, abs=1e-12)
     assert len(exp.terms[0].log_coeffs) == 2
     for gamma_bar, rel in ((1e5, 1e-4), (1e6, 1e-6)):
+        want = montecarlo.oracle_outage(net, gamma_bar)
+        assert mellin.evaluate_expansion(exp, gamma_bar) == pytest.approx(want, rel=rel)
+
+
+@pytest.mark.parametrize("rho", [1e-3, 1e-160, 1e-300])
+def test_build_expansion_on_extreme_rho_ratios_matches_oracle(rho):
+    # from rho = 1e-160 the term coefficients (rho_1/rho_2)^lambda / lambda!
+    # overflow a float and (gamma_t rho_2)^-s0 underflows one, but each
+    # residue's weight, their product, is moderate: the lambda = 3 build is
+    # as close to the oracle as at rho = 1e-3
+    net = make_network([F.nakagami(2.0)] * 2, rhos=[1.0, rho])
+    exp = mellin.build_expansion(net, 3)
+    for gamma_bar, rel in ((1e4, 1e-8), (1e6, 1e-11)):
         want = montecarlo.oracle_outage(net, gamma_bar)
         assert mellin.evaluate_expansion(exp, gamma_bar) == pytest.approx(want, rel=rel)
 
