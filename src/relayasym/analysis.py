@@ -1,4 +1,4 @@
-"""Diversity metrics and asymptote-vs-simulation sweeps."""
+"""Finite-SNR diversity, and sweeps of the asymptote against Monte Carlo and the oracle."""
 
 from __future__ import annotations
 
@@ -22,40 +22,22 @@ class SweepRow:
     p_oracle: float | None = None
 
 
-def finite_diversity(s0: float, k: int, gamma_bar: float) -> float:
+def finite_diversity(s0: float, k: int, gamma_bar: float) -> float | None:
     """Finite-SNR diversity: -s0 minus the (k-1) ln ln / ln correction.
 
     For a simple dominant pole (k = 1) the correction vanishes and the value
-    is -s0 for any gamma_bar; for k >= 2 the log-log correction requires
-    gamma_bar > e.
+    is -s0 for any gamma_bar; for k >= 2 the log-log correction is defined
+    only for gamma_bar > e, and the value is None at or below it.  A pole
+    order k < 1 raises ValueError.
     """
     if k < 1:
         raise ValueError("pole order k must be >= 1")
     if k == 1:
         return -s0
     if gamma_bar <= math.e:
-        raise ValueError(f"gamma_bar must exceed e for k >= 2, got {gamma_bar}")
+        return None
     lg = math.log(gamma_bar)
     return -s0 - (k - 1) * math.log(lg) / lg
-
-
-def diversity_where_defined(s0: float, k: int, gamma_bar: float) -> float | None:
-    """finite_diversity, or None where it is undefined (k >= 2 and gamma_bar <= e)."""
-    return finite_diversity(s0, k, gamma_bar) if k == 1 or gamma_bar > math.e else None
-
-
-def log_log_diversity(gamma_bar: float, p: float) -> float:
-    """Origin-anchored log-log slope -ln p / ln gamma_bar.
-
-    This is the finite-SNR diversity the lnln-corrected formula expands:
-    for p ~ C (ln g)^(k-1) g^s0 it equals -s0 - (k-1) lnln g/ln g - ln C/ln g.
-    A two-point difference quotient instead estimates the local derivative,
-    whose correction is (k-1)/ln g, a different (and larger) quantity at any
-    finite SNR.
-    """
-    if gamma_bar <= 1.0 or p <= 0.0:
-        raise ValueError("need gamma_bar > 1 and p > 0")
-    return -math.log(p) / math.log(gamma_bar)
 
 
 #: Most points a dB grid may have; a wider or finer grid is an input error.
@@ -114,7 +96,7 @@ def sweep_compare(
     rows = []
     for i, (db, gamma_bar, p_oracle) in enumerate(zip(grid, gammas, p_oracles)):
         p_asym = mellin.evaluate_expansion(expansion, gamma_bar) if gamma_bar > 1.0 else None
-        d_fin = diversity_where_defined(s0, k, gamma_bar)
+        d_fin = finite_diversity(s0, k, gamma_bar)
         p_mc = ci_low = ci_high = None
         if n_samples:
             est = montecarlo.estimate_outage(network, gamma_bar, n_samples, seed=seed, stream_base=i << 32)

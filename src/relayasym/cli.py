@@ -209,7 +209,7 @@ def _cmd_diversity(network: NetworkConfig, args: argparse.Namespace) -> None:
     s0, k = mellin.leading_pole(network)
     print("gamma_db d_finite")
     for db in analysis._db_grid(args.db_from, args.db_to, args.db_step):
-        d = analysis.diversity_where_defined(s0, k, analysis.db_to_linear(db))
+        d = analysis.finite_diversity(s0, k, analysis.db_to_linear(db))
         print(f"{db:g} {math.nan if d is None else d!r}")
 
 

@@ -34,6 +34,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -104,10 +105,6 @@ class NetworkConfig:
     def n_hops(self) -> int:
         return len(self.hops)
 
-    def xi(self, gamma_bar: float) -> list[float]:
-        """Per-hop normalized thresholds rho_n * gamma_t / gamma_bar."""
-        return [h.rho * self.gamma_t / gamma_bar for h in self.hops]
-
 
 @dataclass(frozen=True)
 class AsymptoteTerm:
@@ -130,6 +127,14 @@ class AsymptoticExpansion:
     lambda_max: int
     re_min: float
     network: NetworkConfig
+
+
+def _warn(message: str, category: type[Warning]) -> None:
+    """warnings.warn, attributed to the first calling frame outside this module."""
+    frame, level = sys._getframe(), 1
+    while frame.f_globals.get("__name__") == __name__:
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, category, stacklevel=level)
 
 
 def _shift_terms(network: NetworkConfig, lam: int):
@@ -184,8 +189,8 @@ def enumerate_poles(network: NetworkConfig, shifts, re_min: float) -> list[tuple
             merged.append([loc, delta])
     for (a, _), (b, _) in zip(merged, merged[1:]):
         if POLE_MERGE_TOL <= b - a < NEAR_COINCIDENT_TOL:
-            warnings.warn(f"pole locations separated by {b - a:.3e}: residue extraction may be "
-                          "ill-conditioned", ConditioningWarning, stacklevel=2)
+            _warn(f"pole locations separated by {b - a:.3e}: residue extraction may be ill-conditioned",
+                  ConditioningWarning)
     others = [loc for loc, _, _ in listed]
     return [(loc, order, min((abs(loc - o) for o in others if abs(loc - o) >= POLE_MERGE_TOL),
                              default=math.inf))
@@ -361,15 +366,11 @@ def leading_term(network: NetworkConfig):
     Returns (term, s0, k): the top term of the lambda_N = 0 expansion over
     the window Re(s) >= s0 - 0.5, an AsymptoteTerm in the ln(gamma_bar)
     basis (all log powers, not just the top one), its exponent s0 and its
-    number of log powers k.  The diversity order is -s0.  It warns where
-    that build does.
+    number of log powers k.  The diversity order is -s0.  It warns and
+    raises where that build does.
     """
-    s0 = leading_pole(network)[0]
-    terms = build_expansion(network, 0, s0 - 0.5).terms
-    if not terms:
-        raise ArithmeticError(f"the leading term at s0 = {s0:g} is below the smallest coefficient "
-                              "an expansion keeps")
-    return terms[0], terms[0].exponent, len(terms[0].log_coeffs)
+    top = build_expansion(network, 0, leading_pole(network)[0] - 0.5).terms[0]
+    return top, top.exponent, len(top.log_coeffs)
 
 
 def _collect(entries) -> tuple[AsymptoteTerm, ...]:
@@ -419,7 +420,9 @@ def build_expansion(
     before any pole is listed, and so does a window with no residue
     (re_min > s0) once they are.  A residue weight, the term coefficient
     times (gamma_t rho_N)^-s0, that overflows a float raises OverflowError
-    naming the prefactor.
+    naming the prefactor, and an expansion whose every coefficient lies
+    below ``_collect``'s trim floor raises ArithmeticError.  Warnings name
+    the caller's line.
     """
     if lambda_max < 0:
         raise ValueError("lambda_max must be >= 0")
@@ -432,9 +435,8 @@ def build_expansion(
     # Off the leading pole the constant is the binomial series of (rho + W)^-s0,
     # which the lambda <= -s0 terms sum exactly only for a simple pole at an integer s0.
     if s0 - last >= POLE_MERGE_TOL and not (k == 1 and s0 == round(s0) and lambda_max >= -s0):
-        warnings.warn(f"hop {network.n_hops} (pole {last:g}) is off the leading pole s0 = {s0:g}: "
-                      f"its lambda_max = {lambda_max} constant is a partial sum",
-                      TruncationWarning, stacklevel=2)
+        _warn(f"hop {network.n_hops} (pole {last:g}) is off the leading pole s0 = {s0:g}: "
+              f"its lambda_max = {lambda_max} constant is a partial sum", TruncationWarning)
     if re_min is None:
         re_min = s0 - DEFAULT_RE_MIN_OFFSET
     a_scale = network.gamma_t * network.hops[-1].rho
@@ -451,19 +453,19 @@ def build_expansion(
     # the term's sign times the -1 of the outage formula
     entries = [(lam, job[1], _rebase_coefficients((-1.0) ** (lam + 1), log_weight, derivs, job[1], a_scale))
                for (lam, log_weight, job), derivs in zip(plan, laurent)]
-    expansion = AsymptoticExpansion(_collect(entries), lambda_max, re_min, network)
+    terms = _collect(entries)
+    if not terms:  # every coefficient trimmed: no power of gamma_bar is left to report
+        raise ArithmeticError(f"every residue in Re(s) >= {re_min:g} is below the smallest coefficient "
+                              "an expansion keeps")
+    expansion = AsymptoticExpansion(terms, lambda_max, re_min, network)
 
     if warn_gamma_bar is not None and lambda_max >= 1:
         # the unclamped sums: a nonpositive one is the worst truncation of all
         hi_val = _term_sum(expansion.terms, warn_gamma_bar)
         lo_val = _term_sum(_collect(e for e in entries if e[0] < lambda_max), warn_gamma_bar)
         if hi_val <= 0 or abs(hi_val - lo_val) > 0.1 * hi_val:
-            warnings.warn(
-                f"truncation orders {lambda_max} and {lambda_max - 1} sum to "
-                f"{hi_val:.3e} and {lo_val:.3e} at gamma_bar={warn_gamma_bar:g}",
-                TruncationWarning,
-                stacklevel=2,
-            )
+            _warn(f"truncation orders {lambda_max} and {lambda_max - 1} sum to "
+                  f"{hi_val:.3e} and {lo_val:.3e} at gamma_bar={warn_gamma_bar:g}", TruncationWarning)
     return expansion
 
 

@@ -13,6 +13,9 @@ mask (at most one per block), so ``taskset`` sets the count.  Each block
 of chains is folded forward hop by hop as its gains are drawn, so a worker
 holds three block-sized buffers, which it reuses for all of its blocks.
 The oracle runs on the calling thread.
+
+Both engines check the analytic one (``mellin``), so at run time this module
+imports only ``channels`` and ``errors``; ``NetworkConfig`` is for annotations.
 """
 
 from __future__ import annotations
@@ -21,13 +24,16 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.special import betaincinv
 
 from .channels import cdf, pdf, sample
 from .errors import QuadratureConvergenceError
-from .mellin import NetworkConfig
+
+if TYPE_CHECKING:
+    from .mellin import NetworkConfig
 
 DEFAULT_BLOCK_SIZE = 1 << 20
 
@@ -172,15 +178,14 @@ ROW_BLOCK = 16
 ORACLE_RTOL = 1e-6
 
 
-def _quad(width: float):
-    """Nodes t_k = T_LO + k ``width`` <= T_HI and weights, all ``width``, of the
-    trapezoid rule: geometric in ``width`` on integrands analytic in a strip
-    (Trefethen & Weideman, SIAM Rev. 56, 2014).  The edge weights are not
-    halved, as the integrands there are of the order of the omitted mass;
-    the rule at 2 ``width`` takes every other node."""
+def _quad(width: float) -> np.ndarray:
+    """Nodes t_k = T_LO + k ``width`` <= T_HI of the trapezoid rule, whose
+    weights are all ``width``: geometric in ``width`` on integrands analytic
+    in a strip (Trefethen & Weideman, SIAM Rev. 56, 2014).  The edge weights
+    are not halved, as the integrands there are of the order of the omitted
+    mass; the rule at 2 ``width`` takes every other node."""
     t = T_LO + width * np.arange((T_HI - T_LO) // width + 2)
-    t = t[t <= T_HI]
-    return t, np.full_like(t, width)
+    return t[t <= T_HI]
 
 
 def _nystrom_step(model, v: np.ndarray, wg: np.ndarray, t: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -208,14 +213,14 @@ def _threshold_table(network: NetworkConfig, width: float):
     n = N, ..., 2: the density of s = ln U_n at the reflected nodes s_i = -t_i
     of the rule :func:`_quad` is g_n(s_i) = sum_j wg_j x pdf_n(x),
     x = v_j e^{t_i}, and the next nodes are v = 1 + r_{n-1} e^{s_i} with
-    weights wg = w g_n.  For N = 1 no step runs and the table is the unit
-    mass at v = 1.  ``omitted`` is the mass the log-gain window leaves out,
+    weights wg = ``width`` g_n.  For N = 1 no step runs and the table is the
+    unit mass at v = 1.  ``omitted`` is the mass the log-gain window leaves out,
     per hop an outage mass from cdf: P(X_n > e^T_HI), which also bounds the
     kernel points ROW_BLOCK leaves out, plus sum_j wg_j F_n(v_j e^T_LO).
     """
     v, wg, omitted = np.ones(1), np.ones(1), 0.0
     hops = network.hops
-    t, w = _quad(width)
+    t = _quad(width)
     x, es = np.exp(t), np.exp(-t)  # e^s at the reflected nodes s = -t
     for n in range(len(hops) - 1, 0, -1):
         model = hops[n].model
@@ -224,7 +229,7 @@ def _threshold_table(network: NetworkConfig, width: float):
         # bound it meets while the outage exceeds 1e-10.
         omitted += (1.0 - float(cdf(model, math.exp(T_HI)))
                     + float(wg @ cdf(model, v * math.exp(T_LO))))
-        v, wg = 1.0 + (hops[n].rho / hops[n - 1].rho) * es, w * g
+        v, wg = 1.0 + (hops[n].rho / hops[n - 1].rho) * es, width * g
     return v, wg, omitted
 
 
@@ -248,7 +253,7 @@ def oracle_outage(network: NetworkConfig, gamma_bar):
     """
     gamma_bar = _finite_positive(gamma_bar)
     first = network.hops[0].model
-    xi1 = np.ravel(network.xi(gamma_bar)[0])
+    xi1 = np.ravel(network.hops[0].rho * network.gamma_t / gamma_bar)
 
     def outage(width):
         v, wg, omitted = _threshold_table(network, width)

@@ -19,6 +19,25 @@ def rayleigh_chain(n, gamma_t=1.0) -> NetworkConfig:
     return make_network([F.nakagami(1.0) for _ in range(n)], gamma_t=gamma_t)
 
 
+def xi(network: NetworkConfig, gamma_bar):
+    """Per-hop normalized thresholds rho_n * gamma_t / gamma_bar."""
+    return [h.rho * network.gamma_t / gamma_bar for h in network.hops]
+
+
+def log_log_diversity(gamma_bar: float, p: float) -> float:
+    """Origin-anchored log-log slope -ln p / ln gamma_bar.
+
+    This is the finite-SNR diversity the lnln-corrected formula expands:
+    for p ~ C (ln g)^(k-1) g^s0 it equals -s0 - (k-1) lnln g/ln g - ln C/ln g.
+    A two-point difference quotient instead estimates the local derivative,
+    whose correction is (k-1)/ln g, a different (and larger) quantity at any
+    finite SNR.
+    """
+    if gamma_bar <= 1.0 or p <= 0.0:
+        raise ValueError("need gamma_bar > 1 and p > 0")
+    return -math.log(p) / math.log(gamma_bar)
+
+
 # The seven reference configurations (theta = rho = 1, gamma_t = 0 dB).
 REFERENCE_CONFIGS = {
     "nak3": make_network([F.nakagami(2.2), F.nakagami(1.8), F.nakagami(1.8)]),
@@ -83,6 +102,6 @@ def two_hop_rayleigh_outage(network: NetworkConfig, gamma_bar: float) -> float:
         raise ValueError("closed form is for two hops")
     theta1 = _as_exponential_mean(network.hops[0].model)
     theta2 = _as_exponential_mean(network.hops[1].model)
-    xi1, xi2 = network.xi(gamma_bar)
+    xi1, xi2 = xi(network, gamma_bar)
     z = 2.0 * math.sqrt(xi2 / (theta1 * theta2))
     return 1.0 - math.exp(-xi1 / theta1) * z * bessel_k1(z)

@@ -17,12 +17,12 @@ import pytest
 from scipy.special import gammainc
 
 from relayasym import mellin, montecarlo
-from relayasym.analysis import finite_diversity, log_log_diversity
+from relayasym.analysis import finite_diversity
 from relayasym.channels import FadingModel
 from relayasym.errors import TruncationWarning
 from relayasym.mellin import build_expansion, evaluate_expansion, leading_pole
 
-from conftest import REFERENCE_CONFIGS, make_network, rayleigh_chain, two_hop_rayleigh_outage
+from conftest import REFERENCE_CONFIGS, log_log_diversity, make_network, rayleigh_chain, two_hop_rayleigh_outage
 
 F = FadingModel
 

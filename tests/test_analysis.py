@@ -8,13 +8,12 @@ from relayasym import analysis, mellin, montecarlo
 from relayasym.analysis import (
     db_to_linear,
     finite_diversity,
-    log_log_diversity,
     sweep_compare,
 )
 from relayasym.channels import FadingModel
 from relayasym.errors import TruncationWarning
 
-from conftest import REFERENCE_CONFIGS, make_network, rayleigh_chain, two_hop_rayleigh_outage
+from conftest import REFERENCE_CONFIGS, log_log_diversity, make_network, rayleigh_chain, two_hop_rayleigh_outage
 
 F = FadingModel
 
@@ -38,8 +37,9 @@ def test_finite_diversity_limits_and_domain():
     # k = 3, s0 = -1: limit is 1 from below (the lnln/ln correction decays slowly)
     assert finite_diversity(-1.0, 3, 1e280) == pytest.approx(1.0, abs=0.025)
     assert finite_diversity(-1.0, 3, 1e100) < finite_diversity(-1.0, 3, 1e280) < 1.0
-    with pytest.raises(ValueError):
-        finite_diversity(-1.0, 2, 2.0)
+    # undefined for k >= 2 at gamma_bar <= e
+    assert finite_diversity(-1.0, 2, 2.0) is None
+    assert finite_diversity(-1.0, 2, math.e) is None
     with pytest.raises(ValueError):
         finite_diversity(-1.0, 0, 10.0)
 

@@ -468,6 +468,11 @@ def test_exit_codes(tmp_path, capsys):
     assert cli.main(["asymptote", "--config", _write(tmp_path, "over.json", json.dumps(big_gamma_t))]) == EXIT_NUMERICAL
     err = capsys.readouterr().err
     assert "(gamma_t rho_N)^-s0 = 1e+30^20" in err and "overflows a float" in err and "Traceback" not in err
+    # a lambda = 0 expansion whose only coefficient, about 1e-320, is below the trim floor
+    hops = [{"fading": "nakagami", "m": 2.0}, {"fading": "nakagami", "m": 2.0, "rho": 1e-160}]
+    tiny = _write(tmp_path, "tiny.json", json.dumps({"hops": hops}))
+    assert cli.main(["asymptote", "--config", tiny, "--lambda-max", "0"]) == EXIT_NUMERICAL
+    assert "below the smallest coefficient an expansion keeps" in capsys.readouterr().err
     # a term coefficient with 171! or (rho_1/rho_2)^2 = 1e400 in it no longer
     # overflows, as each residue is weighted in log space; on two Rayleigh hops
     # the terms above lambda = 2 hold no residue in the window, so lambda_max
