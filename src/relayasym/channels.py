@@ -1,13 +1,13 @@
 """Fading-channel gain models.
 
 Each model describes the distribution of a per-hop channel power gain:
-density, distribution function, complex-order moments, the pole lattice of
-the moment function, and random sampling.  The supported families
-(Nakagami-m, Weibull, Rician, Hoyt) all have moments that decay fast enough
-in the left half-plane for the residue machinery in :mod:`relayasym.mellin`
-to apply; heavier-tailed models such as log-normal are rejected outright.
-Models are checked once, by :func:`validate_model` when a network is built;
-the functions below trust their model.
+density, distribution function and a power-law bound on it, complex-order
+moments, the pole lattice of the moment function, and random sampling.  The
+supported families (Nakagami-m, Weibull, Rician, Hoyt) all have moments that
+decay fast enough in the left half-plane for the residue machinery in
+:mod:`relayasym.mellin` to apply; heavier-tailed models such as log-normal
+are rejected outright.  Models are checked once, by :func:`validate_model`
+when a network is built; the functions below trust their model.
 """
 
 from __future__ import annotations
@@ -186,6 +186,25 @@ def cdf(model: FadingModel, x):
     for vj in v:
         total -= np.expm1(x * (-0.5 / vj))
     return (total / len(v))[()]
+
+
+def log_cdf_bound(model: FadingModel) -> tuple[float, float, float]:
+    """(ln c, a, b) with F(x) <= c x^a e^{b x} for every x > 0, a = -r0 of :func:`lattice`.
+
+    Nakagami gamma(m, u)/Gamma(m) <= u^m/Gamma(m + 1) and Weibull
+    1 - e^-u <= u, u = x/theta; the Hoyt density falls from
+    f(0) = (1 + q^2)/(2 q theta), and I0(z) <= e^{z^2/4} bounds the Rician
+    one by f(0) e^{(K^2 - 1) x/theta}, f(0) = (K + 1) e^-K/theta.
+    """
+    shape, theta = model.shape, model.scale
+    a = -lattice(model)[0]
+    if model.variant == NAKAGAMI:
+        return -shape * math.log(theta) - math.lgamma(shape + 1.0), a, 0.0
+    if model.variant == WEIBULL:
+        return -shape * math.log(theta), a, 0.0
+    if model.variant == HOYT:
+        return math.log((1.0 + shape * shape) / (2.0 * shape * theta)), a, 0.0
+    return math.log((shape + 1.0) / theta) - shape, a, max(0.0, (shape * shape - 1.0) / theta)
 
 
 def log_moment(model: FadingModel, s):

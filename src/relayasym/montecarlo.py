@@ -1,8 +1,8 @@
 """Ground-truth engines: end-to-end SNR sampling, Monte Carlo outage
 estimation with exact binomial confidence intervals, and an exact
-quadrature oracle for networks of any length, by a backward recursion on a
-uniform log-gain grid whose trapezoid step is halved until the outage at
-twice the step agrees with it.
+quadrature oracle for networks of any length, by a backward recursion over
+a log-gain window fitted to each hop's law, on trapezoid rules whose step is
+halved until the outage at twice the step agrees with it.
 
 Randomness comes from counter-based Philox streams keyed by (seed, stream
 index), so results are reproducible and independent of how work is split
@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 from scipy.special import betaincinv
 
-from .channels import cdf, pdf, sample
+from .channels import cdf, log_cdf_bound, pdf, sample
 from .errors import QuadratureConvergenceError
 
 if TYPE_CHECKING:
@@ -159,19 +159,28 @@ def estimate_outage(
 # Exact quadrature oracle
 # ---------------------------------------------------------------------------
 
-#: Log-gain window t = ln x of the oracle's rules and the trapezoid step it
-#: starts from (G = 341 nodes; it halves it down to PANEL_WIDTH / 16).
+#: Log-gain bounds t = ln x of every stage's window, the trapezoid step the
+#: oracle starts from (it halves it down to PANEL_WIDTH / 16), and the step of
+#: the grid each call fits its windows on: the start pair's coarse step, fixed
+#: here so that halving PANEL_WIDTH leaves the windows where they are.
 T_LO, T_HI = -45.0, 6.0
 PANEL_WIDTH = 0.15
+WINDOW_STEP = 2.0 * PANEL_WIDTH
+
+#: Above its window a stage leaves out at most UPPER_TAIL of the outage, and
+#: below it at most LOWER_TAIL of F_1(xi_min), which is below the outage at
+#: every gamma_bar of the call.
+UPPER_TAIL, LOWER_TAIL = 1e-12, 1e-9
 
 #: Rows per block of a hop's kernel: ROW_BLOCK * G // columns, so a block
-#: holds at most ROW_BLOCK x G points (16 x 341 doubles, 44 kB, at the start
-#: step and 0.7 MB at the finest), and the pdf temporaries stay small where
-#: a whole middle-hop kernel would be 0.9-237 MB;
+#: holds at most ROW_BLOCK x G points (16 x 341 doubles, 44 kB, for a full
+#: window at the start step and 0.7 MB at the finest), and the pdf
+#: temporaries stay small where a whole middle-hop kernel would be 0.9-237 MB;
 #: hop N's one-column kernel is one block.  Each block is evaluated only on
-#: the columns where X_n <= e^T_HI for its first row, about 0.62 G^2 points
-#: a middle hop for r_n = 1; every point left out has X_n > e^T_HI, mass
-#: the stated error counts as P(X_n > e^T_HI).
+#: the columns where X_n <= e^t_hi for its first row: 0.60-0.74 of a middle
+#: hop's rows times columns on the shipped configs at 20-60 dB, the more the
+#: narrower its windows; every point left out has X_n > e^t_hi, mass the
+#: stated error counts with the window's upper tail.
 ROW_BLOCK = 16
 
 #: Largest stated error (omitted mass plus step-doubling difference), relative to the result.
@@ -179,101 +188,147 @@ ORACLE_RTOL = 1e-6
 
 
 def _quad(width: float) -> np.ndarray:
-    """Nodes t_k = T_LO + k ``width`` <= T_HI of the trapezoid rule, whose
-    weights are all ``width``: geometric in ``width`` on integrands analytic
-    in a strip (Trefethen & Weideman, SIAM Rev. 56, 2014).  The edge weights
-    are not halved, as the integrands there are of the order of the omitted
-    mass; the rule at 2 ``width`` takes every other node."""
+    """Nodes t_k = T_LO + k ``width`` <= T_HI of the trapezoid rules of step ``width``.
+
+    A stage's rule takes the nodes of its window [t_lo, t_hi], whose ends are
+    nodes of the grid at WINDOW_STEP and so of every rule down to
+    PANEL_WIDTH / 16, with weights ``width``, halved at both ends: geometric
+    in ``width`` on integrands analytic in a strip (Trefethen & Weideman,
+    SIAM Rev. 56, 2014).  The rule at 2 ``width`` takes every other node.
+    """
     t = T_LO + width * np.arange((T_HI - T_LO) // width + 2)
     return t[t <= T_HI]
 
 
-def _nystrom_step(model, v: np.ndarray, wg: np.ndarray, t: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """g(s_i) = sum_j wg_j y pdf(y), y = v_j x_i, x_i = e^{t_i}, in blocks of rows."""
+def _fit_window(model, v: np.ndarray, wg: np.ndarray, t: np.ndarray, floor: float) -> tuple[float, float]:
+    """A hop's window (t_lo, t_hi), two nodes of ``t``, over its stage table (v, wg).
+
+    t_hi is the node after the first with 1 - F(e^t) <= UPPER_TAIL, from one
+    cdf call over ``t`` (the last node if there is none), so that the
+    trapezoid's term at the halved edge, h^2/12 of the integrand's slope
+    there, is far below UPPER_TAIL too.  Below t_lo the mass the hop's step
+    would leave out, sum_j wg_j F(v_j e^t), must be at most ``floor``: t_lo
+    is the last node before t_hi where the bound min(1, c x^a e^{bx}) of
+    :func:`channels.log_cdf_bound` in place of F says so, found by bisection
+    on the bound alone (the first node if none does).
+    """
+    above = np.flatnonzero(1.0 - cdf(model, np.exp(t)) <= UPPER_TAIL)
+    hi = min(int(above[0]) + 1, t.size - 1) if above.size else t.size - 1
+    log_c, a, b = log_cdf_bound(model)
+    log_v = np.log(v)
+    lo, top = 0, hi
+    while top - lo > 1:
+        mid = (lo + top) // 2
+        bound = wg @ np.exp(np.minimum(log_c + a * (t[mid] + log_v) + b * v * math.exp(t[mid]), 0.0))
+        lo, top = (mid, top) if bound <= floor else (lo, mid)
+    return float(t[lo]), float(t[hi])
+
+
+def _nystrom_step(model, v: np.ndarray, wg: np.ndarray, t: np.ndarray, x: np.ndarray, t_hi: float) -> np.ndarray:
+    """g(s_i) = sum_j wg_j y pdf(y), y = v_j x_i, x_i = e^{t_i}, in blocks of rows, for y <= e^t_hi."""
     neg_log_v = -np.log(v)  # ascending, as v falls with j
     rows = ROW_BLOCK * t.size // v.size
     g = np.empty_like(t)
     for lo in range(0, t.size, rows):
         # ln y = t_i + ln v_j rises with i and falls with j, so the block's
-        # first row fixes the first column with ln y <= T_HI
-        j0 = np.searchsorted(neg_log_v, t[lo] - T_HI)
+        # first row fixes the first column with ln y <= t_hi
+        j0 = np.searchsorted(neg_log_v, t[lo] - t_hi)
         y = np.outer(x[lo:lo + rows], v[j0:])
         g[lo:lo + rows] = (y * pdf(model, y)) @ wg[j0:]
     return g
 
 
-def _threshold_table(network: NetworkConfig, width: float):
-    """The gamma_bar-independent stage of the oracle at trapezoid step ``width``: (v, wg, omitted).
+def _threshold_table(network: NetworkConfig, width: float, windows: dict | None = None, xi1_min: float = 0.0):
+    """The gamma_bar-independent stage of the oracle at trapezoid step ``width``: (v, wg, lost, windows).
 
     With U_{N+1} = 0 and U_n = (1 + r_n U_{n+1})/X_n, r_n = rho_{n+1}/rho_n,
     the chain is in outage when X_1 <= xi_1 V, V = 1 + r_1 U_2, so the outage
     is sum_j wg_j F_1(xi_1 v_j) over the nodes v_j of V and their weights
     wg_j.  The recursion starts from the unit mass at U_{N+1} = 0, that is
     v = [1.0] with weight [1.0], and runs one Nystrom step per hop
-    n = N, ..., 2: the density of s = ln U_n at the reflected nodes s_i = -t_i
-    of the rule :func:`_quad` is g_n(s_i) = sum_j wg_j x pdf_n(x),
+    n = N, ..., 2 over its window [t_lo, t_hi] = ``windows[n - 1]``: the
+    density of s = ln U_n at the reflected nodes s_i = -t_i of the window's
+    rule (see :func:`_quad`) is g_n(s_i) = sum_j wg_j x pdf_n(x),
     x = v_j e^{t_i}, and the next nodes are v = 1 + r_{n-1} e^{s_i} with
-    weights wg = ``width`` g_n.  For N = 1 no step runs and the table is the
-    unit mass at v = 1.  ``omitted`` is the mass the log-gain window leaves out,
-    per hop an outage mass from cdf: P(X_n > e^T_HI), which also bounds the
-    kernel points ROW_BLOCK leaves out, plus sum_j wg_j F_n(v_j e^T_LO).
+    weights wg = w_i g_n, w_i the rule's weights.  Without ``windows`` each
+    hop's window is fitted by :func:`_fit_window` on its own stage table, to
+    leave out at most LOWER_TAIL of F_1(``xi1_min``) below it, and the
+    windows used are returned.  For N = 1 no step runs and the table is the
+    unit mass at v = 1.  ``lost`` maps n - 1 to what hop n's window leaves
+    out: the outage mass sum_j wg_j F_n(v_j e^t_lo) below it, and
+    P(X_n > e^t_hi) above it, which also bounds the kernel points ROW_BLOCK
+    leaves out.  The outage falls with X_n and the event X_n > V_n e^t_hi
+    rises with it, so by Harris' inequality the second is a bound relative
+    to the outage.
     """
-    v, wg, omitted = np.ones(1), np.ones(1), 0.0
+    v, wg, lost = np.ones(1), np.ones(1), {}
     hops = network.hops
     t = _quad(width)
     x, es = np.exp(t), np.exp(-t)  # e^s at the reflected nodes s = -t
+    fit = windows is None
+    if fit:
+        windows, floor = {}, LOWER_TAIL * float(cdf(hops[0].model, xi1_min))
     for n in range(len(hops) - 1, 0, -1):
         model = hops[n].model
-        g = _nystrom_step(model, v, wg, t, x)
-        # The upper tail is 1 - F only to ~1e-16 absolute, far below any
-        # bound it meets while the outage exceeds 1e-10.
-        omitted += (1.0 - float(cdf(model, math.exp(T_HI)))
-                    + float(wg @ cdf(model, v * math.exp(T_LO))))
-        v, wg = 1.0 + (hops[n].rho / hops[n - 1].rho) * es, width * g
-    return v, wg, omitted
+        if fit:
+            windows[n] = _fit_window(model, v, wg, t, floor)
+        t_lo, t_hi = windows[n]
+        i, k = np.searchsorted(t, windows[n])  # both ends are nodes of t
+        g = _nystrom_step(model, v, wg, t[i:k + 1], x[i:k + 1], t_hi)
+        g[[0, -1]] *= 0.5
+        lost[n] = (float(wg @ cdf(model, v * math.exp(t_lo))), 1.0 - float(cdf(model, math.exp(t_hi))))
+        v, wg = 1.0 + (hops[n].rho / hops[n - 1].rho) * es[i:k + 1], width * g
+    return v, wg, lost, windows
 
 
 def oracle_outage(network: NetworkConfig, gamma_bar):
-    """Exact outage probability of an N-hop chain on a log-gain grid sized by step doubling.
+    """Exact outage probability of an N-hop chain on log-gain windows fitted to each hop, by step doubling.
 
     Elementwise on an array of gamma_bar, each finite and > 0 (scalar in,
     scalar out).  Hop 1 integrates out in closed form, so the outage is the
     outage mass E[F1(xi1 V)], with no 1 - survival step: one dot product of
     F1 at the nodes of :func:`_threshold_table` with its weights per
     gamma_bar, the only step that depends on gamma_bar.  The table holds the
-    density of ln U_2 at the nodes of the trapezoid rule of step h on
-    [-T_HI, -T_LO], the log-gain window [T_LO, T_HI] reflected, from one
-    Nystrom step for every hop n >= 2.  The outage P_h is
-    made at h = PANEL_WIDTH and at 2h (not for one hop, which has no step);
-    while |P_h - P_2h| exceeds ORACLE_RTOL of P_h at any gamma_bar, h is
-    halved and P_h becomes the coarse value, down to PANEL_WIDTH / 16.  The
-    result is P_h, and its stated error is the mass the window leaves out
-    plus |P_h - P_2h|.  QuadratureConvergenceError is raised past the finest
-    width, or when the stated error exceeds ORACLE_RTOL of the result.
+    density of ln U_2 from one Nystrom step for every hop n >= 2, each over
+    its own log-gain window.  The call fits the windows once, on its table
+    at step WINDOW_STEP, against F1 at its smallest xi1, so two calls give
+    the same value at a gamma_bar when their largest gamma_bar is the same.
+    The outage P_h is then made at h = WINDOW_STEP / 2 (or, if PANEL_WIDTH
+    is smaller, halved down to it), with P_2h the coarse value; while
+    |P_h - P_2h| exceeds ORACLE_RTOL of P_h at any gamma_bar, h is halved
+    and P_h becomes the coarse value, down to PANEL_WIDTH / 16.  One hop has
+    no step, so its table at WINDOW_STEP gives the result.  The result is
+    P_h, and its stated error is the mass the windows leave out below them,
+    plus the share of P_h they leave out above them, plus |P_h - P_2h|.
+    QuadratureConvergenceError is raised past the finest width, or when the
+    stated error exceeds ORACLE_RTOL of the result.
     """
     gamma_bar = _finite_positive(gamma_bar)
     first = network.hops[0].model
     xi1 = np.ravel(network.hops[0].rho * network.gamma_t / gamma_bar)
 
-    def outage(width):
-        v, wg, omitted = _threshold_table(network, width)
-        # One dot product per gamma_bar, so a sweep gives each point's value bit for bit.
-        return np.array([cdf(first, x * v) @ wg for x in xi1]), omitted
+    def outage(v, wg):
+        # One dot product per gamma_bar: a gamma_bar's value depends on the call only through the windows.
+        return np.array([cdf(first, x * v) @ wg for x in xi1])
 
-    width = PANEL_WIDTH
-    value, omitted = outage(width)
-    coarse = outage(2.0 * width)[0] if len(network.hops) > 1 else value
-    while np.any(np.abs(value - coarse) > ORACLE_RTOL * value):
+    width = WINDOW_STEP
+    v, wg, lost, windows = _threshold_table(network, width, xi1_min=float(np.min(xi1)))
+    value = coarse = outage(v, wg)
+    # down to PANEL_WIDTH at least, then while a rule and its doubled rule disagree
+    while len(network.hops) > 1 and (width > PANEL_WIDTH or np.any(np.abs(value - coarse) > ORACLE_RTOL * value)):
         if width <= PANEL_WIDTH / 16:
             raise QuadratureConvergenceError(f"steps of width {width:g} still move the outage by up to "
                                              f"{np.max(np.abs(value - coarse) / value):.2e} of itself, "
                                              f"above {ORACLE_RTOL:g}")
         width /= 2.0
-        coarse, (value, omitted) = value, outage(width)
-    error = omitted + np.abs(value - coarse)
+        v, wg, lost, _ = _threshold_table(network, width, windows)
+        coarse, value = value, outage(v, wg)
+    error = np.abs(value - coarse) + sum(below + above * value for below, above in lost.values())
     if np.any(error > ORACLE_RTOL * value):
+        n, (below, above) = max(lost.items(), key=lambda item: item[1][0] + item[1][1] * np.min(value))
         raise QuadratureConvergenceError(
-            f"log-gain window [{T_LO:g}, {T_HI:g}] leaves out gain mass {omitted:.2e}, which with the "
-            f"step-doubling difference is above {ORACLE_RTOL:g} of the outage {np.min(value):.3e}"
+            f"hop {n + 1}'s log-gain window [{windows[n][0]:g}, {windows[n][1]:g}] leaves out gain mass "
+            f"{below:.2e} below it and {above:.2e} of the outage above it, which with the other hops' and "
+            f"the step-doubling difference is above {ORACLE_RTOL:g} of the outage {np.min(value):.3e}"
         )
     return value.reshape(gamma_bar.shape)[()]

@@ -131,6 +131,16 @@ def test_cdf_against_mpmath():
         assert channels.cdf(model, float(xs[3])) == got[3]
 
 
+def test_log_cdf_bound_holds_and_is_tight_at_zero():
+    # F(x) <= c x^a e^{bx} everywhere, and c x^a is F's leading term as x -> 0
+    xs = np.logspace(-12, 3, 61)
+    for model in PARAM_GRID + [F.nakagami(2.2, theta=1.5), F.rician(5.0, theta=2.0), F.hoyt(0.05)]:
+        log_c, a, b = channels.log_cdf_bound(model)
+        assert a == -channels.lattice(model)[0], model
+        assert np.all(np.log(channels.cdf(model, xs)) <= log_c + a * np.log(xs) + b * xs + 1e-12), model
+        assert math.log(channels.cdf(model, 1e-12)) == pytest.approx(log_c + a * math.log(1e-12), abs=1e-6), model
+
+
 # ---------------------------------------------------------------------------
 # moments
 # ---------------------------------------------------------------------------

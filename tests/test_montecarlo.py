@@ -289,14 +289,23 @@ def test_oracle_rejects_gamma_bar_not_finite_positive(gamma_bar):
         oracle_outage(net, np.array([10.0, gamma_bar, 100.0]))
 
 
+def _fitted_table(net, width, gamma_bar_max):
+    """(v, wg, lost, windows) at step ``width`` on the windows oracle_outage fits when
+    ``gamma_bar_max`` is the largest gamma_bar of its call."""
+    windows = montecarlo._threshold_table(net, montecarlo.WINDOW_STEP, xi1_min=xi(net, gamma_bar_max)[0])[-1]
+    return montecarlo._threshold_table(net, width, windows)
+
+
 def test_threshold_table_unit_mass_and_total():
     # N = 1 is the unit mass at v = 1; for N > 1 the weights hold the unit
-    # mass of U_2 but what the window leaves out
-    v, wg, omitted = montecarlo._threshold_table(rayleigh_chain(1), montecarlo.PANEL_WIDTH)
-    assert (v.tolist(), wg.tolist(), omitted) == ([1.0], [1.0], 0.0)
+    # mass of U_2 but what the windows leave out below and above them
+    v, wg, lost, windows = montecarlo._threshold_table(rayleigh_chain(1), montecarlo.PANEL_WIDTH)
+    assert (v.tolist(), wg.tolist(), lost, windows) == ([1.0], [1.0], {}, {})
     for name, net in REFERENCE_CONFIGS.items():
-        v, wg, omitted = montecarlo._threshold_table(net, montecarlo.PANEL_WIDTH)
+        v, wg, lost, windows = _fitted_table(net, montecarlo.PANEL_WIDTH, 1e6)
         assert v.shape == wg.shape
+        assert sorted(windows) == sorted(lost) == list(range(1, net.n_hops)), name
+        omitted = sum(below + above for below, above in lost.values())
         assert abs(wg.sum() - 1.0) <= omitted + 1e-14, name
 
 
@@ -305,7 +314,7 @@ def test_threshold_table_gives_leading_constant_off_last_hop():
     # x^m / Gamma(m + 1) as x -> 0, so p ~ C gamma_bar^-1.5 with
     # C = E[V^m] / Gamma(m + 1) at gamma_t = 1
     net = make_network([F.nakagami(m) for m in (1.5, 2.5, 3.5)])
-    v, wg, _ = montecarlo._threshold_table(net, montecarlo.PANEL_WIDTH)
+    v, wg, _, _ = _fitted_table(net, montecarlo.PANEL_WIDTH, 1e12)
     constant = float(wg @ v**1.5) / math.gamma(2.5)
     assert abs(constant - 2.24302) <= 5e-6
     assert constant == pytest.approx(oracle_outage(net, 1e12) * 1e18, rel=1e-8)
@@ -381,24 +390,34 @@ def test_oracle_value_settled_under_panel_halving(monkeypatch):
     np.testing.assert_allclose(coarse, fine, rtol=1e-12, atol=0.0)
 
 
-def _full_kernel_oracle(net, gamma_bar, width):
-    """The 3-hop oracle at step ``width``, its middle-hop kernel evaluated at all G x G points."""
+def _window_rule(width, window):
+    """Nodes of the trapezoid rule of step ``width`` on ``window`` and its weights, halved at both ends."""
     t = montecarlo._quad(width)
-    x, es = np.exp(t), np.exp(-t)
+    t = t[(t >= window[0]) & (t <= window[1])]
+    w = np.full(t.size, width)
+    w[[0, -1]] /= 2.0
+    return t, w
+
+
+def _full_kernel_oracle(net, gamma_bar, width, windows):
+    """The 3-hop oracle at step ``width`` on ``windows``, its middle-hop kernel evaluated at every point."""
     first, mid, last = net.hops
-    wg = width * x * channels.pdf(last.model, x)
-    shift = 1.0 + (last.rho / mid.rho) * es
-    g = np.empty_like(t)
-    for lo in range(0, t.size, 64):
-        y = np.outer(x[lo:lo + 64], shift)
+    t3, w3 = _window_rule(width, windows[2])
+    t2, w2 = _window_rule(width, windows[1])
+    x3, x2 = np.exp(t3), np.exp(t2)
+    wg = w3 * x3 * channels.pdf(last.model, x3)
+    shift = 1.0 + (last.rho / mid.rho) * np.exp(-t3)
+    g = np.empty_like(t2)
+    for lo in range(0, t2.size, 64):
+        y = np.outer(x2[lo:lo + 64], shift)
         g[lo:lo + 64] = (y * channels.pdf(mid.model, y)) @ wg
     xi1, xi2 = map(float, xi(net, gamma_bar)[:2])
-    return float(channels.cdf(first.model, xi1 + xi2 * es) @ (width * g))
+    return float(channels.cdf(first.model, xi1 + xi2 * np.exp(-t2)) @ (w2 * g))
 
 
 @pytest.mark.parametrize("rhos", [(1.0, 1.0, 1.0), (1.0, 0.5, 2.0)])
 def test_oracle_kernel_evaluates_only_inside_window(monkeypatch, rhos):
-    # kernel points with X_n > e^T_HI are left out; P(X_n > e^T_HI) in the
+    # kernel points with X_n > e^t_hi are left out; P(X_n > e^t_hi) in the
     # stated error already counts their mass, and the value does not move
     net = make_network([hop.model for hop in REFERENCE_CONFIGS["ric3"].hops], rhos=rhos)
     n_kernel = 0
@@ -410,18 +429,29 @@ def test_oracle_kernel_evaluates_only_inside_window(monkeypatch, rhos):
             n_kernel += x.size
         return channels.pdf(model, x)
 
-    quad, widths = montecarlo._quad, []
+    table, step, widths, windows, sizes = montecarlo._threshold_table, montecarlo._nystrom_step, [], {}, []
 
-    def recording_quad(width):
+    def recording_table(network, width, *args, **kwargs):
         widths.append(width)
-        return quad(width)
+        result = table(network, width, *args, **kwargs)
+        windows.update(result[-1])  # the call's windows, fitted by its first table
+        return result
+
+    def recording_step(model, v, wg, t, x, t_hi):
+        sizes.append((t.size, v.size))
+        return step(model, v, wg, t, x, t_hi)
 
     monkeypatch.setattr(montecarlo, "pdf", counting_pdf)
-    monkeypatch.setattr(montecarlo, "_quad", recording_quad)
+    monkeypatch.setattr(montecarlo, "_threshold_table", recording_table)
+    monkeypatch.setattr(montecarlo, "_nystrom_step", recording_step)
     value = oracle_outage(net, 1e4)
-    assert 0 < n_kernel <= 0.65 * sum(quad(width).size ** 2 for width in widths)
+    # the middle hop's kernel has a row per node of its window and a column
+    # per node of hop N's; the cut is made per block of rows, and the fitted
+    # windows already drop most of the points it would, so it leaves out less
+    # of their rows x columns than of the whole grid's G x G
+    assert 0 < n_kernel <= 0.70 * sum(rows * columns for rows, columns in sizes if columns > 1)
     # the value is that of the finest rule the call built
-    assert value == pytest.approx(_full_kernel_oracle(net, 1e4, min(widths)), rel=1e-15, abs=0.0)
+    assert value == pytest.approx(_full_kernel_oracle(net, 1e4, min(widths), windows), rel=1e-15, abs=0.0)
 
 
 @pytest.mark.parametrize("name", ["ric3", "hoyt3", "nak8"])
@@ -468,7 +498,8 @@ def test_oracle_eight_hops_settled_under_panel_halving(monkeypatch):
 @pytest.mark.parametrize("name", [p.stem for p in sorted(CONFIG_DIR.glob("*.json"))] + ["nak8"])
 def test_oracle_settles_at_the_start_rule(monkeypatch, name):
     # every shipped config and nak8 settles at the first pair of rules out to
-    # 60 dB: the start width and twice it, or the start width alone for one hop
+    # 60 dB: twice the start width, which fits the windows, then the start
+    # width, or the first alone for one hop, which has no step
     net = NAK8 if name == "nak8" else parse_config((CONFIG_DIR / f"{name}.json").read_text())
     quad, widths = montecarlo._quad, []
 
@@ -479,7 +510,7 @@ def test_oracle_settles_at_the_start_rule(monkeypatch, name):
     monkeypatch.setattr(montecarlo, "_quad", recording_quad)
     oracle_outage(net, 10.0 ** np.arange(0.0, 6.5, 0.5))  # 0-60 dB
     width = montecarlo.PANEL_WIDTH
-    assert widths == ([width, 2 * width] if net.n_hops > 1 else [width])
+    assert widths == ([2 * width, width] if net.n_hops > 1 else [2 * width])
 
 
 def test_oracle_sharp_hops_settle_at_a_finer_rule():
@@ -489,7 +520,7 @@ def test_oracle_sharp_hops_settle_at_a_finer_rule():
     net = make_network([F.weibull(10.0)] * 3)
     gammas = 10.0 ** np.arange(0.0, 6.5, 0.5)  # 0-60 dB
     value = oracle_outage(net, gammas)
-    v, wg, _ = montecarlo._threshold_table(net, montecarlo.PANEL_WIDTH / 16)
+    v, wg, _, _ = _fitted_table(net, montecarlo.PANEL_WIDTH / 16, gammas.max())
     finest = np.array([channels.cdf(net.hops[0].model, xi1 * v) @ wg for xi1 in xi(net, gammas)[0]])
     np.testing.assert_allclose(value, finest, rtol=1e-12, atol=0.0)
 
@@ -503,17 +534,69 @@ def test_oracle_raises_past_the_finest_panel_width():
         oracle_outage(net, 100.0)
 
 
+def test_oracle_heavy_upper_tail_counts_relative_to_the_outage():
+    # 1 - F(e^6) of a Weibull m = 0.5 hop is 1.9e-9: as an absolute error it
+    # would be above 1e-6 of the 60 dB outage, but the event X_2 > e^t_hi
+    # lowers the outage, so it is a relative error of 1.9e-9
+    net = make_network([F.nakagami(2.0), F.weibull(0.5)])
+    exact = oracle_outage(net, 1e6)
+    est = estimate_outage(net, 1e6, 10**6, seed=33)
+    assert est.ci_low <= exact <= est.ci_high
+    # a Weibull m = 0.4 hop's upper tail, 1.6e-5 of the outage, is not settled
+    with pytest.raises(QuadratureConvergenceError, match=r"hop 2's log-gain window \[.*, 6\] .* 1.6\de-05 of the outage"):
+        oracle_outage(make_network([F.weibull(2.0), F.weibull(0.4)]), 1e6)
+
+
+@pytest.mark.parametrize("net, gammas, parent_count, share", [
+    (make_network([F.weibull(10.0)] * 3), 10.0 ** np.arange(0.0, 6.5, 0.5), 6_059_078, 1 / 5),
+    (parse_config((CONFIG_DIR / "rician3.json").read_text()), 100.0, 92_493, 1 / 2),
+], ids=["weibull10x3-0-60dB", "rician3-20dB"])
+def test_oracle_kernel_points_within_fitted_windows(monkeypatch, net, gammas, parent_count, share):
+    # kernel points one call evaluates, against the count on the whole
+    # [T_LO, T_HI] grid for every hop (parent_count): the windows cut the
+    # sharp hops' halvings and the points that add nothing at 20 dB
+    n_kernel = 0
+
+    def counting_pdf(model, x):
+        nonlocal n_kernel
+        x = np.asarray(x)
+        if x.ndim == 2:
+            n_kernel += x.size
+        return channels.pdf(model, x)
+
+    monkeypatch.setattr(montecarlo, "pdf", counting_pdf)
+    oracle_outage(net, gammas)
+    assert 0 < n_kernel <= share * parent_count
+
+
 def test_quad_rules_nest():
     # each halving of the step adds a node between every two of the coarser
-    # rule, and the start rule spans the whole window in 341 nodes
+    # rule, and the start rule spans the whole grid in 341 nodes
     t = montecarlo._quad(montecarlo.PANEL_WIDTH)
     assert (t.size, t[-1]) == (341, montecarlo.T_HI)
-    widths = [2.0 * montecarlo.PANEL_WIDTH / 2**k for k in range(6)]  # start pair down to the floor
+    widths = [montecarlo.WINDOW_STEP / 2**k for k in range(6)]  # start pair down to the floor
     for width in widths:
         t = montecarlo._quad(width)
         assert t[0] == montecarlo.T_LO and t[-1] <= montecarlo.T_HI, width
     for coarse, fine in zip(widths, widths[1:]):
         assert montecarlo._quad(fine)[::2].tobytes() == montecarlo._quad(coarse).tobytes(), fine
+    # a fitted window's ends are nodes of every rule, so its rules nest too;
+    # hop N's step sees the unit mass at v = 1, so its weights over
+    # width x pdf(x) are the rule's, halved at both ends (a window clamped
+    # to T_LO or T_HI included)
+    for last in (F.rician(3.0), F.weibull(0.5), F.nakagami(0.3)):
+        net = make_network([F.nakagami(2.0), last])
+        (t_lo, t_hi), = _fitted_table(net, widths[0], 1e6)[-1].values()
+        assert montecarlo.T_LO <= t_lo < t_hi <= montecarlo.T_HI, last
+        rules = [_window_rule(width, (t_lo, t_hi)) for width in widths]
+        assert rules[0][0].size == round((t_hi - t_lo) / montecarlo.WINDOW_STEP) + 1, last
+        for (coarse, _), (fine, _) in zip(rules, rules[1:]):
+            assert (fine[0], fine[-1], fine[::2].tobytes()) == (t_lo, t_hi, coarse.tobytes()), last
+        for width, (t, _) in zip(widths, rules):
+            v, wg, _, _ = _fitted_table(net, width, 1e6)
+            np.testing.assert_array_equal(v, 1.0 + np.exp(-t))
+            w = wg / (width * np.exp(t) * channels.pdf(last, np.exp(t)))
+            np.testing.assert_allclose(w, np.r_[0.5, np.ones(t.size - 2), 0.5], rtol=1e-15, atol=0.0)
 
 
 def test_oracle_small_q_hoyt_first_hop():
@@ -529,11 +612,15 @@ def test_oracle_small_q_hoyt_first_hop():
 
 
 def test_oracle_array_gamma_bar_matches_point_calls():
+    # the windows follow the call's largest gamma_bar: a call with the same
+    # largest gamma_bar gives each value bit for bit, and a one-point call
+    # one within 1e-8 (the windows' share of the stated error)
     net = REFERENCE_CONFIGS["inhom"]
     gammas = np.array([10.0, 1e3, 1e6])
     values = oracle_outage(net, gammas)
     assert values.shape == (3,)
-    assert list(values) == [oracle_outage(net, g) for g in gammas]
+    assert list(values) == [oracle_outage(net, [g, gammas.max()])[0] for g in gammas]
+    np.testing.assert_allclose([oracle_outage(net, g) for g in gammas], values, rtol=1e-8, atol=0.0)
     assert np.ndim(oracle_outage(net, 10.0)) == 0
     assert list(oracle_outage(rayleigh_chain(1), gammas)) == [oracle_outage(rayleigh_chain(1), g) for g in gammas]
 
