@@ -8,7 +8,7 @@ expansions, and validates them against Monte Carlo simulation and exact
 quadrature oracles.
 """
 
-from .channels import FadingModel, HopConfig, validate_model
+from .channels import FadingModel, HopConfig, NetworkConfig, validate_model
 from .errors import (
     ConditioningWarning,
     IllConditionedContourError,
@@ -20,7 +20,6 @@ from .errors import (
 from .mellin import (
     AsymptoteTerm,
     AsymptoticExpansion,
-    NetworkConfig,
     build_expansion,
     evaluate_expansion,
     leading_pole,

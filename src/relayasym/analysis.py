@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 
 from . import mellin, montecarlo
-from .mellin import NetworkConfig
+from .channels import NetworkConfig
 
 
 @dataclass(frozen=True)

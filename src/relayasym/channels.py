@@ -1,4 +1,4 @@
-"""Fading-channel gain models.
+"""Fading-channel gain models, and the relay networks built from them.
 
 Each model describes the distribution of a per-hop channel power gain:
 density, distribution function and a power-law bound on it, complex-order
@@ -6,8 +6,11 @@ moments, the pole lattice of the moment function, and random sampling.  The
 supported families (Nakagami-m, Weibull, Rician, Hoyt) all have moments that
 decay fast enough in the left half-plane for the residue machinery in
 :mod:`relayasym.mellin` to apply; heavier-tailed models such as log-normal
-are rejected outright.  Models are checked once, by :func:`validate_model`
-when a network is built; the functions below trust their model.
+are rejected outright.  A :class:`NetworkConfig` (hops with their noise
+factors rho, and the threshold gamma_t) is the input all three engines
+share, so it lives here, below them.  Models are checked once, by
+:func:`validate_model` when a network is built; the functions below trust
+their model.
 """
 
 from __future__ import annotations
@@ -106,6 +109,31 @@ def validate_model(model: FadingModel) -> None:
             )
 
 
+@dataclass(frozen=True)
+class NetworkConfig:
+    """Ordered hop list plus the outage threshold (linear scale)."""
+
+    hops: tuple[HopConfig, ...]
+    gamma_t: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "hops", tuple(self.hops))
+        if len(self.hops) < 1:
+            raise ValueError("network needs at least one hop")
+        for hop in self.hops:
+            validate_model(hop.model)
+            if not (math.isfinite(hop.rho) and hop.rho > 0):
+                raise ValueError(f"rho must be positive and finite, got {hop.rho}")
+        if abs(self.hops[0].rho - 1.0) > 1e-12:
+            raise ValueError(f"first hop must have rho = 1, got {self.hops[0].rho}")
+        if not (math.isfinite(self.gamma_t) and self.gamma_t > 0):
+            raise ValueError(f"gamma_t must be positive and finite, got {self.gamma_t}")
+
+    @property
+    def n_hops(self) -> int:
+        return len(self.hops)
+
+
 def lattice(model: FadingModel) -> tuple[float, float]:
     """(r0, step): the moment's poles are r0 - step*j for j = 0, 1, 2, ...
 
@@ -140,10 +168,11 @@ def pdf(model: FadingModel, x):
     # overflows to inf; the density that follows is right either way
     with np.errstate(divide="ignore", over="ignore"):
         if model.variant in (NAKAGAMI, WEIBULL):
-            # omega/nu theta^-m y^(m-1) exp(-(y/theta)^omega), the unified density
-            omega, nu = (1.0, math.gamma(shape)) if model.variant == NAKAGAMI else (shape, 1.0)
+            # omega/nu theta^-m y^(m-1) exp(-(y/theta)^omega), the unified density,
+            # with ln(omega/nu) from lgamma: Gamma(m) overflows past m = 171.6
+            omega, log_norm = (1.0, -math.lgamma(shape)) if model.variant == NAKAGAMI else (shape, math.log(shape))
             log_p = (
-                math.log(omega / nu)
+                log_norm
                 - shape * math.log(theta)
                 + xlogy(shape - 1.0, y)
                 - (y / theta) ** omega

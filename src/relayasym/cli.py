@@ -22,11 +22,10 @@ import math
 import sys
 
 from . import analysis, mellin, montecarlo
-# validate_model stays a name of this module: the benchmark tracer wraps
-# cli.validate_model.  NetworkConfig calls it on every hop.
-from .channels import HOYT, NAKAGAMI, RICIAN, WEIBULL, FadingModel, HopConfig, validate_model  # noqa: F401
+from .channels import HOYT, NAKAGAMI, RICIAN, WEIBULL, FadingModel, HopConfig, NetworkConfig
+# validate_model stays a name of this module: the benchmark tracer wraps cli.validate_model.
+from .channels import validate_model  # noqa: F401
 from .errors import ModelValidationError, RelayAsymError
-from .mellin import NetworkConfig
 
 EXIT_OK = 0
 EXIT_CONFIG = 2

@@ -26,7 +26,9 @@ compares the sum of all orders with the sum of the orders below lambda_max.
 poles are the floats r0 - step*j that :func:`relayasym.channels.mellin_poles`
 lists; it refuses a window of more than ``MAX_LATTICE_POLES`` poles;
 :func:`leading_pole` lists none.  The expansion is a series in 1/gamma_bar and ln(gamma_bar),
-so it is evaluated only for gamma_bar > 1.
+so it is evaluated only for gamma_bar > 1.  Networks come from
+:mod:`relayasym.channels`, as for the Monte Carlo engine and the oracle,
+which check this one and so never import it.
 """
 
 from __future__ import annotations
@@ -40,14 +42,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import (
-    POLE_MERGE_TOL,
-    HopConfig,
-    lattice,
-    log_moment,
-    mellin_poles,
-    validate_model,
-)
+from .channels import POLE_MERGE_TOL, NetworkConfig, lattice, log_moment, mellin_poles
+# validate_model stays a name of this module: the benchmark tracer wraps mellin.validate_model.
+from .channels import validate_model  # noqa: F401
 from .errors import (
     ConditioningWarning,
     IllConditionedContourError,
@@ -79,31 +76,6 @@ DEFAULT_RE_MIN_OFFSET = 1.5
 #: tuples for N hops.  An 8-hop build takes about 0.1 ms and 2 kB per term,
 #: so this bound is about a second; 8 hops take lambda_max <= 8 (6,435 terms).
 MAX_SERIES_TERMS = 10_000
-
-
-@dataclass(frozen=True)
-class NetworkConfig:
-    """Ordered hop list plus the outage threshold (linear scale)."""
-
-    hops: tuple[HopConfig, ...]
-    gamma_t: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "hops", tuple(self.hops))
-        if len(self.hops) < 1:
-            raise ValueError("network needs at least one hop")
-        for hop in self.hops:
-            validate_model(hop.model)
-            if not (math.isfinite(hop.rho) and hop.rho > 0):
-                raise ValueError(f"rho must be positive and finite, got {hop.rho}")
-        if abs(self.hops[0].rho - 1.0) > 1e-12:
-            raise ValueError(f"first hop must have rho = 1, got {self.hops[0].rho}")
-        if not (math.isfinite(self.gamma_t) and self.gamma_t > 0):
-            raise ValueError(f"gamma_t must be positive and finite, got {self.gamma_t}")
-
-    @property
-    def n_hops(self) -> int:
-        return len(self.hops)
 
 
 @dataclass(frozen=True)

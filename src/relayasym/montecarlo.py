@@ -14,8 +14,8 @@ of chains is folded forward hop by hop as its gains are drawn, so a worker
 holds three block-sized buffers, which it reuses for all of its blocks.
 The oracle runs on the calling thread.
 
-Both engines check the analytic one (``mellin``), so at run time this module
-imports only ``channels`` and ``errors``; ``NetworkConfig`` is for annotations.
+Both engines check the analytic one (``mellin``), so this module imports
+only ``channels``, which defines the network, and ``errors``.
 """
 
 from __future__ import annotations
@@ -24,16 +24,12 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.special import betaincinv
 
-from .channels import cdf, log_cdf_bound, pdf, sample
+from .channels import NetworkConfig, cdf, log_cdf_bound, pdf, sample
 from .errors import QuadratureConvergenceError
-
-if TYPE_CHECKING:
-    from .mellin import NetworkConfig
 
 DEFAULT_BLOCK_SIZE = 1 << 20
 

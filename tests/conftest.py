@@ -2,8 +2,7 @@ import math
 
 import pytest
 
-from relayasym.channels import HOYT, NAKAGAMI, RICIAN, WEIBULL, FadingModel, HopConfig
-from relayasym.mellin import NetworkConfig
+from relayasym.channels import HOYT, NAKAGAMI, RICIAN, WEIBULL, FadingModel, HopConfig, NetworkConfig
 
 F = FadingModel
 

@@ -3,7 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, stats
 
 from relayasym import channels
 from relayasym.channels import FadingModel
@@ -71,6 +71,15 @@ def test_pdf_point_values():
     # K = 0 collapses to an exponential since I0(0) = 1
     assert channels.pdf(F.rician(0.0), 2.0) == pytest.approx(math.exp(-2.0), rel=1e-12)
     assert channels.pdf(F.nakagami(1.0), -1.0) == 0.0
+
+
+@pytest.mark.parametrize("m", [200.0, 500.0])
+def test_pdf_nakagami_past_the_gamma_function_range(m):
+    # Gamma(m) overflows a float past m = 171.6; the density's normaliser must not
+    theta = 1.0 / m
+    x = m * theta * np.array([0.6, 0.9, 1.0, 1.1, 1.5])
+    want = stats.gamma(m, scale=theta).pdf(x)
+    np.testing.assert_allclose(channels.pdf(F.nakagami(m, theta), x), want, rtol=1e-9)
 
 
 def test_pdf_array_matches_scalar_calls():

@@ -7,9 +7,8 @@ import pytest
 from scipy import special
 
 from relayasym import channels, mellin, montecarlo
-from relayasym.channels import FadingModel, HopConfig
+from relayasym.channels import FadingModel, HopConfig, NetworkConfig
 from relayasym.errors import ConditioningWarning, IllConditionedContourError, TruncationWarning
-from relayasym.mellin import NetworkConfig
 
 from conftest import REFERENCE_CONFIGS, make_network, rayleigh_chain, two_hop_rayleigh_outage
 

@@ -11,7 +11,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, stats
 from scipy.special import gammainc, k1 as scipy_k1
 
 import relayasym
@@ -147,6 +147,9 @@ def test_bench_tracer_contract():
     tracer = bench_tracer.Tracer()
     try:
         tracer.install(relayasym)
+        # every hop is validated once, whichever module defines the network type
+        rayleigh_chain(3)
+        assert tracer.calls("channels.validate_model") == 3
         # one worker: the tracer's counters take no lock
         estimate_outage(rayleigh_chain(2), 10.0, 5000, seed=3, block_size=2048, n_workers=1)
         mellin.build_expansion(rayleigh_chain(2), 2)
@@ -258,21 +261,42 @@ def test_import_leaves_out_scipy_stats():
     assert proc.stdout.strip() == "[False, False]"
 
 
-def _imports_mellin(node) -> bool:
-    if isinstance(node, ast.ImportFrom):
-        return (node.module or "").split(".")[-1] == "mellin" or any(a.name == "mellin" for a in node.names)
-    return isinstance(node, ast.Import) and any(a.name.split(".")[-1] == "mellin" for a in node.names)
+#: The package modules each module may import; None allows any.  The model
+#: layer, channels, holds the network type under both engines, so montecarlo,
+#: which checks mellin, and mellin never import each other.
+LAYERS = {
+    "errors": set(),
+    "specfun": {"errors"},
+    "channels": {"specfun", "errors"},
+    "mellin": {"channels", "errors"},
+    "montecarlo": {"channels", "errors"},
+    "analysis": {"channels", "mellin", "montecarlo"},
+    "cli": None,
+    "__init__": None,
+}
 
 
-def test_montecarlo_imports_mellin_for_annotations_only():
-    # Monte Carlo and the oracle check the analytic engine, so they must not
-    # import it at run time: mellin could then never import the oracle
-    tree = ast.parse(Path(montecarlo.__file__).read_text(encoding="utf-8"))
-    guarded = {id(node) for branch in ast.walk(tree)
-               if isinstance(branch, ast.If) and ast.unparse(branch.test) in ("TYPE_CHECKING", "typing.TYPE_CHECKING")
-               for stmt in branch.body for node in ast.walk(stmt)}
-    run_time = [ast.unparse(node) for node in ast.walk(tree) if _imports_mellin(node) and id(node) not in guarded]
-    assert run_time == []
+def _package_imports(tree) -> set[str]:
+    """Names of the relayasym modules a module's source imports, at any depth and under any guard."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("relayasym")):
+            module = (node.module or "").removeprefix("relayasym").lstrip(".")
+            found.update([module] if module else [a.name for a in node.names])
+        elif isinstance(node, ast.Import):
+            found.update(a.name.split(".")[1] for a in node.names if a.name.startswith("relayasym."))
+    return found
+
+
+def test_modules_import_only_the_layers_below():
+    # no TYPE_CHECKING exemption: an annotation-only import still ties the layers together
+    sources = sorted(Path(montecarlo.__file__).parent.glob("*.py"))
+    assert sorted(p.stem for p in sources) == sorted(LAYERS)
+    for path in sources:
+        allowed = LAYERS[path.stem]
+        if allowed is not None:
+            imported = _package_imports(ast.parse(path.read_text(encoding="utf-8")))
+            assert imported <= allowed, (path.stem, sorted(imported - allowed))
 
 
 # ---------------------------------------------------------------------------
@@ -640,6 +664,33 @@ def test_oracle_mc_agreement_two_hop_families():
         assert est.ci_low <= exact <= est.ci_high, name
         half_width = (est.ci_high - est.ci_low) / 2.0
         assert abs(est.p_hat - exact) <= half_width, name
+
+
+def _generated_network(rng):
+    """2-4 hops, each family equally likely, with m in [0.6, 3.5], K in [0, 8] and q in [0.2, 1];
+    rho_1 = 1 and the other rho log-uniform in [0.3, 3]; gamma_t log-uniform in +-3 dB."""
+    ranges = {"nakagami": (0.6, 3.5), "weibull": (0.6, 3.5), "rician": (0.0, 8.0), "hoyt": (0.2, 1.0)}
+    n = int(rng.integers(2, 5))
+    models = [FadingModel(str(f), float(rng.uniform(*ranges[f]))) for f in rng.choice(list(ranges), size=n)]
+    rhos = [1.0] + [float(r) for r in np.exp(rng.uniform(math.log(0.3), math.log(3.0), n - 1))]
+    return make_network(models, rhos, gamma_t=float(10.0 ** (rng.uniform(-3.0, 3.0) / 10.0)))
+
+
+def test_oracle_inside_mc_intervals_on_generated_networks():
+    # crude MC at 2e5 samples a point against one oracle call per network at
+    # 0, 10 and 20 dB, on eight generated networks and a chain whose m = 200
+    # hop has Gamma(m) past the float range; a correct oracle falls outside
+    # the 95% intervals at no more points than the 0.999 quantile of
+    # Binomial(points, 0.05)
+    rng = np.random.default_rng(2026)
+    nets = [_generated_network(rng) for _ in range(8)] + [make_network([F.nakagami(2.0), F.nakagami(200.0)])]
+    gamma_bar = np.array([1.0, 10.0, 100.0])
+    misses = 0
+    for index, net in enumerate(nets):
+        for g, exact in zip(gamma_bar, oracle_outage(net, gamma_bar)):
+            est = estimate_outage(net, g, 2 * 10**5, seed=1000 + index)
+            misses += not est.ci_low <= exact <= est.ci_high
+    assert misses <= stats.binom.ppf(0.999, gamma_bar.size * len(nets), 0.05)
 
 
 # ---------------------------------------------------------------------------
