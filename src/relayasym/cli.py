@@ -17,6 +17,7 @@ numerical error types and a float overflow), 5 I/O.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -235,6 +236,7 @@ _DISPATCH = {
 }
 
 
+@functools.cache  # one parser per process: parsing does not change it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="relay-asym",

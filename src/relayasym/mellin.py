@@ -13,15 +13,20 @@ Residues are planned, then evaluated together.  :func:`enumerate_poles`
 plans one term's residues, given its shifts: it lists each hop's poles
 once, merges the term's real poles in the window and gives each its
 (location, order, context), the context sizing its contour by the nearest
-other pole.  ``_residues`` evaluates a list of planned residues: one
-log_moment call per distinct hop model on every distinct shifted ring they
-meet (``_ring_tables``), then the Laurent data of a block of residues at a
-time off one FFT of their contour samples (:func:`residue_at`).
+other pole.  ``_residues`` evaluates planned residues one per
+(lambda_N, location): the terms that share one take a single residue of
+their weighted sum, as residues are linear.  It makes one log_moment call
+per distinct hop model on every distinct shifted ring the terms meet
+(``_ring_tables``), then takes the Laurent data of a block of residues at a
+time off one FFT of their contour samples (:func:`residue_at`).  The
+integrand is real on the real axis, so a contour is sampled on its upper
+half alone and ``np.fft.hfft`` gives the whole circle's spectrum.
 :func:`build_expansion` plans the residues of every term, at most
 ``MAX_SERIES_TERMS`` terms, evaluates them in one pass, weights each by one
-log-space number, the term coefficient times (gamma_t rho_N)^-s0
-(``_rebase_coefficients``), and sums them by exponent; its truncation check
-compares the sum of all orders with the sum of the orders below lambda_max.
+log-space number, the largest term coefficient at its (lambda_N, location)
+times (gamma_t rho_N)^-s0 (``_rebase_coefficients``), and sums them by
+exponent; its truncation check compares the sum of all orders with the sum
+of the orders below lambda_max.
 :func:`leading_term` is the top term of a lambda_max = 0 build.  Each hop's
 poles are the floats r0 - step*j that :func:`relayasym.channels.mellin_poles`
 lists; it refuses a window of more than ``MAX_LATTICE_POLES`` poles;
@@ -65,8 +70,8 @@ ORDER_DROP_TOL = 1e-10
 
 _CONDITION_LIMIT = 1e12
 
-#: Residues that one :func:`residue_at` call takes within a build: its
-#: (residues, nodes) work arrays stay at 32 kB each.
+#: Residues, each of one lambda_N and location, that one :func:`residue_at`
+#: call takes within a build: its (residues, nodes) work arrays stay at 17 kB each.
 RESIDUE_BLOCK = 32
 
 DEFAULT_LAMBDA_MAX = 2
@@ -170,13 +175,15 @@ def enumerate_poles(network: NetworkConfig, shifts, re_min: float) -> list[tuple
 
 
 def _ring(context: np.ndarray):
-    """Radii and node offsets of the residue contours, one row per pole.
+    """Radii and upper-half node offsets of the residue contours, one row per pole.
 
     The radius is r = min(0.4*context, 0.5), where context is the distance
-    to the nearest other pole; row i holds r_i exp(2 pi i n / nodes).
+    to the nearest other pole; row i holds r_i exp(2 pi i n / nodes) for
+    n = 0, ..., nodes/2, the nodes on or above the real axis.
     """
     radius = np.minimum(RADIUS_SAFETY * context, MAX_CONTOUR_RADIUS)
-    return radius, radius[:, None] * np.exp(2j * math.pi * np.arange(CONTOUR_NODES) / CONTOUR_NODES)
+    half = np.arange(CONTOUR_NODES // 2 + 1)
+    return radius, radius[:, None] * np.exp(2j * math.pi * half / CONTOUR_NODES)
 
 
 def _distinct_rows(a: np.ndarray):
@@ -190,7 +197,7 @@ def _ring_tables(network: NetworkConfig, shifts: np.ndarray, s0: np.ndarray, con
     """Every log_moment ring of a batch of residues, each evaluated once.
 
     Row r of the batch is the series term with shifts ``shifts[r]`` on the
-    :func:`residue_at` contour around s0[r].  Hop j meets the ring at the
+    :func:`residue_at` half contour around s0[r].  Hop j meets the ring at the
     contour nodes s + lambda_j; each distinct hop model takes one log_moment
     call on the distinct rings its hops meet, compared byte for byte, so a
     shifted ring that several terms and poles meet is evaluated once.
@@ -211,22 +218,19 @@ def _ring_tables(network: NetworkConfig, shifts: np.ndarray, s0: np.ndarray, con
     return rings
 
 
-def _integrand(rings, lambda_n: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """The residue-engine integrand of series terms on their contours, minus xi^-s.
+def _integrand(rings, log_weight: np.ndarray, starts: np.ndarray, lambda_n: int, s: np.ndarray) -> np.ndarray:
+    """The weighted residue-engine integrand of groups of series terms on their contours, minus xi^-s.
 
-    Row r of s is a contour of the term whose hop rings are the rows
-    table[index[r]] of ``rings`` (summed in hop order) and whose last shift
-    is lambda_n[r]: the product of the rings times the prefactor
-    gamma(s+lambda_N)/gamma(s+1), which is 1/s for lambda_N = 0 and the
-    polynomial prod_{i=1..lambda_N-1}(s+i) otherwise.
+    Member r, one term, has the hop rings table[index[r]] of ``rings``
+    (summed in hop order) and the weight e^log_weight[r]; group g holds the
+    members from starts[g] up to the next start, and row g of s is its
+    contour.  Row g is the weighted sum of its members' ring products times
+    the prefactor gamma(s+lambda_N)/gamma(s+1), which is 1/s for
+    lambda_N = 0 and the polynomial prod_{i=1..lambda_N-1}(s+i) otherwise.
     """
-    values = np.exp(sum(table[index] for table, index in rings))
-    for lam in set(lambda_n.tolist()):
-        rows = lambda_n == lam
-        z = s[rows]
-        prefactor = 1.0 / z if lam == 0 else math.prod((z + i for i in range(1, lam)), start=1.0 + 0.0j)
-        values[rows] = np.multiply(prefactor, values[rows])
-    return values
+    values = np.add.reduceat(np.exp(sum(table[index] for table, index in rings) + log_weight[:, None]), starts)
+    prefactor = 1.0 / s if lambda_n == 0 else math.prod((s + i for i in range(1, lambda_n)), start=1.0 + 0.0j)
+    return np.multiply(prefactor, values)
 
 
 def residue_at(f, s0, k, context):
@@ -236,13 +240,16 @@ def residue_at(f, s0, k, context):
     arrays of (s0, k, context), one such list per pole.  One FFT of H on a
     circle of radius r = min(0.4*context, 0.5) gives its Taylor coefficients
     fft[n] / nodes / r^n: the trapezoidal rule, spectrally accurate and free
-    of the cancellation of high-order finite differences.  k drops while
+    of the cancellation of high-order finite differences.  f must be real on
+    the real axis, f(conj s) = conj f(s), so that H is too: then f is taken
+    on the nodes/2 + 1 nodes on or above the axis alone, and np.fft.hfft
+    gives the real spectrum of the whole circle.  k drops while
     |H(s0)| is numerically zero (a hypergeometric zero cancelling a gamma
     pole): H/(s-s0) has H's coefficients shifted by one and scale max |H| / r,
-    so a list's length is the effective order.  f takes all the contours in
-    one call, as an (R, nodes) array with a row per pole, and returns a new
-    array; the first pole whose contour underflows or is ill-conditioned
-    raises.
+    so a list's length is the effective order.  f takes all the half
+    contours in one call, as an (R, nodes/2 + 1) array with a row per pole,
+    and returns a new array; the first pole whose contour underflows or is
+    ill-conditioned raises, naming its location.
     """
     scalar = np.ndim(s0) == 0
     s0, k, context = (np.atleast_1d(x) for x in (s0, k, context))
@@ -265,12 +272,13 @@ def residue_at(f, s0, k, context):
                 f"nearer the leading pole avoids it"
             )
         raise IllConditionedContourError(
-            f"|H| spans a ratio of {scale[r] / max(lo[r], 5e-324):.3e} on the contour"
+            f"|H| spans a ratio of {scale[r] / max(lo[r], 5e-324):.3e} on the contour around the pole "
+            f"at s = {s0[r]:g}"
         )
-    spectra = np.fft.fft(h_ring, axis=-1)
+    spectra = np.fft.hfft(h_ring, CONTOUR_NODES, axis=-1)
     out = []
     for spectrum, order, rad, top in zip(spectra, k.tolist(), radius.tolist(), scale):
-        taylor = spectrum[:order].real / CONTOUR_NODES / rad ** np.arange(order)
+        taylor = spectrum[:order] / CONTOUR_NODES / rad ** np.arange(order)
         while len(taylor) > 1 and abs(taylor[0]) < ORDER_DROP_TOL * top:
             taylor = taylor[1:]
             top /= rad
@@ -278,21 +286,45 @@ def residue_at(f, s0, k, context):
     return out[0] if scalar else out
 
 
-def _residues(network: NetworkConfig, jobs) -> list[list[float]]:
-    """Laurent data of each residue job (shifts, location, order, context), in order.
+def _residues(network: NetworkConfig, jobs, log_weights=None) -> list[list[float]]:
+    """Laurent data of one residue per (lambda_N, location) of the jobs (shifts, location, order, context).
 
-    One :func:`_ring_tables` pass evaluates every ring the jobs meet; then
-    :func:`residue_at` takes the jobs RESIDUE_BLOCK at a time, so its work
-    arrays stay small whatever the number of jobs, and the first offending
-    job raises.
+    The jobs whose last shift and location are equal form a group, and the
+    groups come in the order of their first jobs.  A group's residue is that
+    of the sum of its terms' integrands, each weighted by
+    e^(log_weight - the group's largest log weight) (log_weights default to
+    0), on the contour of its smallest context at its largest order;
+    residues are linear, so it is the weighted sum of the terms' residues.
+    One :func:`_ring_tables` pass evaluates every ring the terms meet; then
+    :func:`residue_at` takes the groups of one lambda_N RESIDUE_BLOCK at a
+    time, and the first offending group raises, naming its lambda_N.
     """
-    shifts, s0, k, context = (np.array(column) for column in zip(*jobs))
-    rings = _ring_tables(network, shifts, s0, context)
+    groups: dict[tuple, list[int]] = {}
+    for i, (shifts, loc, _, _) in enumerate(jobs):
+        groups.setdefault((shifts[-1], loc), []).append(i)
+    members = [i for rows in groups.values() for i in rows]
+    sizes = np.array([len(rows) for rows in groups.values()])
+    bounds = np.concatenate([[0], np.cumsum(sizes)])
+    shifts, s0, k, context = (np.array(column)[members] for column in zip(*jobs))
+    log_weight = np.zeros(len(jobs)) if log_weights is None else np.array(log_weights, dtype=float)[members]
+    starts = bounds[:-1]
+    s0, lambda_n = s0[starts], shifts[starts, -1].tolist()
+    k, context, top = (ufunc.reduceat(x, starts) for ufunc, x in
+                       ((np.maximum, k), (np.minimum, context), (np.maximum, log_weight)))
+    rings = _ring_tables(network, shifts, np.repeat(s0, sizes), np.repeat(context, sizes))
+    log_weight -= np.repeat(top, sizes)
     out = []
-    for lo in range(0, len(jobs), RESIDUE_BLOCK):
-        rows = slice(lo, lo + RESIDUE_BLOCK)
-        f = functools.partial(_integrand, [(table, index[rows]) for table, index in rings], shifts[rows, -1])
-        out += residue_at(f, s0[rows], k[rows], context[rows])
+    for lam, block in itertools.groupby(range(len(s0)), key=lambda_n.__getitem__):
+        block = list(block)
+        for lo in block[::RESIDUE_BLOCK]:
+            hi = min(lo + RESIDUE_BLOCK, block[-1] + 1)
+            rows = slice(bounds[lo], bounds[hi])
+            f = functools.partial(_integrand, [(table, index[rows]) for table, index in rings],
+                                  log_weight[rows], bounds[lo:hi] - bounds[lo], lam)
+            try:
+                out += residue_at(f, s0[lo:hi], k[lo:hi], context[lo:hi])
+            except IllConditionedContourError as exc:
+                raise IllConditionedContourError(f"in the lambda_N = {lam} terms, {exc}") from None
     return out
 
 
@@ -412,7 +444,8 @@ def build_expansion(
     if re_min is None:
         re_min = s0 - DEFAULT_RE_MIN_OFFSET
     a_scale = network.gamma_t * network.hops[-1].rho
-    # plan every residue of the build, (lambda_N, log weight, job), then evaluate them in one pass
+    # plan every term's residues, (lambda_N, log weight, job), then evaluate them in one pass,
+    # one residue per (lambda_N, location)
     plan = [(lam, log_weight, (shifts, *pole))
             for lam in range(lambda_max + 1 if network.n_hops > 1 else 1)  # one hop: lambda = 0 alone
             for shifts, log_weight in _shift_terms(network, lam)
@@ -420,11 +453,14 @@ def build_expansion(
             if lam or abs(pole[0]) >= POLE_MERGE_TOL]
     if not plan:  # re_min > s0: no pole but the origin's is in the window
         raise ValueError(f"no residue in the window Re(s) >= {re_min:g}: the leading pole is s0 = {s0:g}")
-    laurent = _residues(network, [job for _, _, job in plan])
+    laurent = _residues(network, [job for _, _, job in plan], [log_weight for _, log_weight, _ in plan])
+    top: dict[tuple[int, float], float] = {}  # each residue's largest log weight, as _residues groups them
+    for lam, log_weight, (_, loc, _, _) in plan:
+        top[lam, loc] = max(top.get((lam, loc), -math.inf), log_weight)
     # (lambda_N, exponent, coefficients), one per residue, of sign -(-1)^lambda_N:
     # the term's sign times the -1 of the outage formula
-    entries = [(lam, job[1], _rebase_coefficients((-1.0) ** (lam + 1), log_weight, derivs, job[1], a_scale))
-               for (lam, log_weight, job), derivs in zip(plan, laurent)]
+    entries = [(lam, loc, _rebase_coefficients((-1.0) ** (lam + 1), log_weight, derivs, loc, a_scale))
+               for ((lam, loc), log_weight), derivs in zip(top.items(), laurent)]
     terms = _collect(entries)
     if not terms:  # every coefficient trimmed: no power of gamma_bar is left to report
         raise ArithmeticError(f"every residue in Re(s) >= {re_min:g} is below the smallest coefficient "

@@ -570,3 +570,31 @@ def test_stdin_config(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(RAY1_TEXT))
     assert cli.main(["poles", "--config", "-"]) == EXIT_OK
     assert "s0 = -1" in capsys.readouterr().out
+
+
+def _outcome(argv, capsys):
+    """(stdout, stderr, exit code) of one cli.main call, a usage error's SystemExit included."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return (*capsys.readouterr(), code)
+
+
+def test_one_parser_serves_every_call_of_a_process(tmp_path, capsys):
+    # the parser is built once per process; after a usage error, a good
+    # asymptote call and a poles call print and exit as on a fresh parser
+    cfg = _write(tmp_path, "ric3.json", RIC3_TEXT)
+    calls = [["asymptote", "--config", cfg, "--db-from", "20"],
+             ["asymptote", "--config", cfg, "--lambda-max", "3"],
+             ["poles", "--config", cfg]]
+    cli._build_parser.cache_clear()
+    shared = [_outcome(argv, capsys) for argv in calls]
+    assert cli._build_parser.cache_info().misses == 1
+    fresh = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        fresh.append(_outcome(argv, capsys))
+    assert [code for *_, code in shared] == [EXIT_CONFIG, EXIT_OK, EXIT_OK]
+    assert "unrecognized arguments: --db-from 20" in shared[0][1]
+    assert shared == fresh

@@ -1,6 +1,8 @@
+import json
 import math
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -272,6 +274,34 @@ def test_residue_at_arrays_raise_for_the_first_ill_conditioned_pole():
         mellin.residue_at(f, 0.0, 1, contexts[2])
     assert str(batch.value) == str(first.value) != str(second.value)
     assert str(first.value).startswith("|H| spans a ratio of 2.35")
+
+
+def _full_ring_laurent(f, s0, k, context):
+    """[H(s0), ..., H^(k-1)(s0)] from one np.fft.fft of H = (s-s0)^k f(s) on all 64 nodes."""
+    radius = min(mellin.RADIUS_SAFETY * context, mellin.MAX_CONTOUR_RADIUS)
+    ring = radius * np.exp(2j * math.pi * np.arange(64) / 64)
+    spectrum = np.fft.fft(ring**k * f(s0 + ring)).real / 64
+    return [spectrum[n] / radius**n * math.factorial(n) for n in range(k)]
+
+
+@pytest.mark.parametrize(
+    "f, s0, k",
+    [
+        (special.gamma, -3.0, 1),
+        (lambda s: special.gamma(s) ** 2, 0.0, 2),
+        (lambda s: np.exp(2.0 * s) / (s - 0.3) ** 3, 0.3, 3),
+        # a double pole of Rician(1) x Rayleigh: both hops' first gamma poles
+        (lambda s: product_moment(make_network([F.rician(1.0), F.nakagami(1.0)]), s), -1.0, 2),
+    ],
+    ids=["gamma", "gamma_squared", "triple_pole", "rician_rayleigh"],
+)
+def test_residue_at_on_half_rings_equals_the_full_ring(f, s0, k):
+    # f is real on the real axis, so its 33 nodes on and above the axis
+    # carry the whole 64-node spectrum
+    got = mellin.residue_at(f, s0, k, 1.0)
+    want = _full_ring_laurent(f, s0, k, 1.0)
+    assert len(got) == k
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
 
 def test_simple_pole_richardson_cross_check():
@@ -599,6 +629,39 @@ def test_build_expansion_calls_log_moment_once_per_hop_model(monkeypatch, ms, la
     assert first.terms == second.terms
 
 
+def test_build_expansion_takes_one_residue_per_lambda_and_location(monkeypatch):
+    # the terms of one lambda_N meet the same poles; each (lambda_N, location)
+    # of the plan is one residue_at row, at the largest order of its terms,
+    # in the order the plan first meets it
+    rows, residue_at = [], mellin.residue_at
+
+    def recorded(f, s0, k, context):
+        rows.extend(zip(s0.tolist(), k.tolist()))
+        return residue_at(f, s0, k, context)
+
+    monkeypatch.setattr(mellin, "residue_at", recorded)
+    mellin.build_expansion(NAK8, 3)
+    re_min = mellin.leading_pole(NAK8)[0] - mellin.DEFAULT_RE_MIN_OFFSET
+    orders, n_terms = {}, 0
+    for lam in range(4):
+        for shifts, _ in mellin._shift_terms(NAK8, lam):
+            for loc, order, _ in mellin.enumerate_poles(NAK8, shifts, re_min):
+                if lam or abs(loc) >= channels.POLE_MERGE_TOL:  # the origin's residue is not taken
+                    orders[lam, loc] = max(orders.get((lam, loc), 0), order)
+                    n_terms += 1
+    assert rows == [(loc, order) for (_, loc), order in orders.items()]
+    assert len(rows) < n_terms / 10
+
+
+def test_build_expansion_error_names_the_ill_conditioned_pole():
+    # three Hoyt hops at the floor q = 1e-3: the first contour past the
+    # conditioning limit is the lambda_N = 0 one around the leading pole
+    with pytest.raises(IllConditionedContourError) as exc:
+        mellin.build_expansion(make_network([F.hoyt(channels.HOYT_Q_MIN)] * 3), 2)
+    assert str(exc.value).startswith("in the lambda_N = 0 terms, |H| spans a ratio of 1.2")
+    assert str(exc.value).endswith("on the contour around the pole at s = -1")
+
+
 def test_build_expansion_of_small_hoyt_q_keeps_its_memory_small():
     # each polar-node rule of 10,000 nodes is applied to a few moment
     # arguments at a time, not to every ring of the build at once
@@ -672,6 +735,23 @@ def test_lambda_2_coefficients_unchanged(reference_configs):
             scale = max(abs(c) for c in coeffs)
             for got, c in zip(term.log_coeffs, coeffs):
                 assert abs(got - c) <= 1e-12 * scale, (name, term.exponent, got, c)
+
+
+EXPANSION_COEFFICIENTS = json.loads((Path(__file__).parent / "expansion_coefficients.json").read_text())
+
+
+@pytest.mark.parametrize("lambda_max", [2, 3])
+def test_nine_config_coefficients_match_the_recorded_ones(lambda_max):
+    # every coefficient within 1e-12 of itself as recorded when each series
+    # term took its own residues, one per (term, pole)
+    for name, net in NINE_CONFIGS.items():
+        terms = mellin.build_expansion(net, lambda_max).terms
+        want = EXPANSION_COEFFICIENTS[name][str(lambda_max)]
+        assert [t.exponent for t in terms] == [e for e, _ in want], name
+        for term, (_, coeffs) in zip(terms, want):
+            assert len(term.log_coeffs) == len(coeffs), (name, term.exponent)
+            np.testing.assert_allclose(term.log_coeffs, coeffs, rtol=1e-12, atol=0.0,
+                                       err_msg=f"{name} {term.exponent}")
 
 
 def test_rightmost_pole_dominance(reference_configs):
