@@ -13,14 +13,15 @@ Residues are planned, then evaluated together.  :func:`enumerate_poles`
 plans one term's residues, given its shifts: it lists each hop's poles
 once, merges the term's real poles in the window and gives each its
 (location, order, context), the context sizing its contour by the nearest
-other pole.  ``_residues`` evaluates planned residues one per
-(lambda_N, location): the terms that share one take a single residue of
-their weighted sum, as residues are linear.  It makes one log_moment call
-per distinct hop model on every distinct shifted ring the terms meet
-(``_ring_tables``), then takes the Laurent data of a block of residues at a
-time off one FFT of their contour samples (:func:`residue_at`).  The
-integrand is real on the real axis, so a contour is sampled on its upper
-half alone and ``np.fft.hfft`` gives the whole circle's spectrum.
+other pole, found by bisection.  :func:`build_expansion` files each term
+under the (lambda_N, location) of each of its poles, and ``_residues``
+takes one residue per such group, of its terms' weighted sum, as residues
+are linear.  It makes one log_moment call per distinct hop model on
+every distinct shifted ring the terms meet (``_ring_tables``), then takes
+the Laurent data of a block of residues at a time off one FFT of their
+contour samples (:func:`residue_at`).  The integrand is real on the real
+axis, so a contour is sampled on its upper half alone and ``np.fft.hfft``
+gives the whole circle's spectrum.
 :func:`build_expansion` plans the residues of every term, at most
 ``MAX_SERIES_TERMS`` terms, evaluates them in one pass, weights each by one
 log-space number, the largest term coefficient at its (lambda_N, location)
@@ -38,6 +39,7 @@ which check this one and so never import it.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -148,7 +150,9 @@ def enumerate_poles(network: NetworkConfig, shifts, re_min: float) -> list[tuple
     cancelling a moment pole) are removed, and merged entries closer than
     NEAR_COINCIDENT_TOL warn.  A pole's context, which sizes its residue
     contour, is the distance to the nearest other location listed down to
-    re_min - 2 (inf if there is none).  Rightmost first.
+    re_min - 2, at least POLE_MERGE_TOL away (inf if there is none): the
+    nearer of the nearest such locations below and above it, found by
+    bisecting the sorted list.  Rightmost first.
     """
     lambda_n, floor = shifts[-1], re_min - 2.0
     # (location, order delta, in the window) of every pole and zero down to the floor
@@ -168,10 +172,13 @@ def enumerate_poles(network: NetworkConfig, shifts, re_min: float) -> list[tuple
         if POLE_MERGE_TOL <= b - a < NEAR_COINCIDENT_TOL:
             _warn(f"pole locations separated by {b - a:.3e}: residue extraction may be ill-conditioned",
                   ConditioningWarning)
-    others = [loc for loc, _, _ in listed]
-    return [(loc, order, min((abs(loc - o) for o in others if abs(loc - o) >= POLE_MERGE_TOL),
-                             default=math.inf))
-            for loc, order in reversed(merged) if order > 0]
+    others = [-math.inf, *sorted(loc for loc, _, _ in listed), math.inf]  # inf: no location on that side
+
+    def context(loc):  # the nearest listed location at least POLE_MERGE_TOL below or above loc, by bisection
+        below = bisect.bisect_left(others, True, key=lambda o: loc - o < POLE_MERGE_TOL)
+        above = bisect.bisect_left(others, True, key=lambda o: o - loc >= POLE_MERGE_TOL)
+        return min(loc - others[below - 1], others[above] - loc)
+    return [(loc, order, context(loc)) for loc, order in reversed(merged) if order > 0]
 
 
 def _ring(context: np.ndarray):
@@ -286,33 +293,27 @@ def residue_at(f, s0, k, context):
     return out[0] if scalar else out
 
 
-def _residues(network: NetworkConfig, jobs, log_weights=None) -> list[list[float]]:
-    """Laurent data of one residue per (lambda_N, location) of the jobs (shifts, location, order, context).
+def _residues(network: NetworkConfig, groups) -> list[list[float]]:
+    """Laurent data of one residue per group, in the order of ``groups``.
 
-    The jobs whose last shift and location are equal form a group, and the
-    groups come in the order of their first jobs.  A group's residue is that
-    of the sum of its terms' integrands, each weighted by
-    e^(log_weight - the group's largest log weight) (log_weights default to
-    0), on the contour of its smallest context at its largest order;
+    ``groups`` maps (lambda_N, location) to [order, context, top, members]:
+    the largest order and the smallest context of its terms, their largest
+    log weight, and the (shifts, log_weight) of each term.  A group's residue
+    is that of the sum of its terms' integrands, each weighted by
+    e^(log_weight - top), on the contour of its context at its order;
     residues are linear, so it is the weighted sum of the terms' residues.
     One :func:`_ring_tables` pass evaluates every ring the terms meet; then
     :func:`residue_at` takes the groups of one lambda_N RESIDUE_BLOCK at a
     time, and the first offending group raises, naming its lambda_N.
     """
-    groups: dict[tuple, list[int]] = {}
-    for i, (shifts, loc, _, _) in enumerate(jobs):
-        groups.setdefault((shifts[-1], loc), []).append(i)
-    members = [i for rows in groups.values() for i in rows]
-    sizes = np.array([len(rows) for rows in groups.values()])
-    bounds = np.concatenate([[0], np.cumsum(sizes)])
-    shifts, s0, k, context = (np.array(column)[members] for column in zip(*jobs))
-    log_weight = np.zeros(len(jobs)) if log_weights is None else np.array(log_weights, dtype=float)[members]
-    starts = bounds[:-1]
-    s0, lambda_n = s0[starts], shifts[starts, -1].tolist()
-    k, context, top = (ufunc.reduceat(x, starts) for ufunc, x in
-                       ((np.maximum, k), (np.minimum, context), (np.maximum, log_weight)))
+    lambda_n, s0 = zip(*groups)
+    k, context, top, members = zip(*groups.values())
+    s0, k, context = np.array(s0), np.array(k), np.array(context)
+    sizes = [len(rows) for rows in members]
+    bounds = np.cumsum([0, *sizes])
+    shifts = np.array([shifts for rows in members for shifts, _ in rows])
+    log_weight = np.array([log_weight for rows in members for _, log_weight in rows]) - np.repeat(top, sizes)
     rings = _ring_tables(network, shifts, np.repeat(s0, sizes), np.repeat(context, sizes))
-    log_weight -= np.repeat(top, sizes)
     out = []
     for lam, block in itertools.groupby(range(len(s0)), key=lambda_n.__getitem__):
         block = list(block)
@@ -444,23 +445,22 @@ def build_expansion(
     if re_min is None:
         re_min = s0 - DEFAULT_RE_MIN_OFFSET
     a_scale = network.gamma_t * network.hops[-1].rho
-    # plan every term's residues, (lambda_N, log weight, job), then evaluate them in one pass,
-    # one residue per (lambda_N, location)
-    plan = [(lam, log_weight, (shifts, *pole))
-            for lam in range(lambda_max + 1 if network.n_hops > 1 else 1)  # one hop: lambda = 0 alone
-            for shifts, log_weight in _shift_terms(network, lam)
-            for pole in enumerate_poles(network, shifts, re_min)
-            if lam or abs(pole[0]) >= POLE_MERGE_TOL]
-    if not plan:  # re_min > s0: no pole but the origin's is in the window
+    # plan: file each term under the (lambda_N, location) of each of its poles, keeping the group's
+    # [largest order, smallest context, largest log weight, (shifts, log weight) of each term]
+    groups: dict[tuple[int, float], list] = {}
+    for lam in range(lambda_max + 1 if network.n_hops > 1 else 1):  # one hop: lambda = 0 alone
+        for shifts, log_weight in _shift_terms(network, lam):
+            for loc, order, context in enumerate_poles(network, shifts, re_min):
+                if lam or abs(loc) >= POLE_MERGE_TOL:
+                    group = groups.setdefault((lam, loc), [order, context, log_weight, []])
+                    group[:3] = max(group[0], order), min(group[1], context), max(group[2], log_weight)
+                    group[3].append((shifts, log_weight))
+    if not groups:  # re_min > s0: no pole but the origin's is in the window
         raise ValueError(f"no residue in the window Re(s) >= {re_min:g}: the leading pole is s0 = {s0:g}")
-    laurent = _residues(network, [job for _, _, job in plan], [log_weight for _, log_weight, _ in plan])
-    top: dict[tuple[int, float], float] = {}  # each residue's largest log weight, as _residues groups them
-    for lam, log_weight, (_, loc, _, _) in plan:
-        top[lam, loc] = max(top.get((lam, loc), -math.inf), log_weight)
     # (lambda_N, exponent, coefficients), one per residue, of sign -(-1)^lambda_N:
     # the term's sign times the -1 of the outage formula
-    entries = [(lam, loc, _rebase_coefficients((-1.0) ** (lam + 1), log_weight, derivs, loc, a_scale))
-               for ((lam, loc), log_weight), derivs in zip(top.items(), laurent)]
+    entries = [(lam, loc, _rebase_coefficients((-1.0) ** (lam + 1), top, derivs, loc, a_scale))
+               for ((lam, loc), (_, _, top, _)), derivs in zip(groups.items(), _residues(network, groups))]
     terms = _collect(entries)
     if not terms:  # every coefficient trimmed: no power of gamma_bar is left to report
         raise ArithmeticError(f"every residue in Re(s) >= {re_min:g} is below the smallest coefficient "

@@ -352,7 +352,8 @@ def test_origin_residue_is_one(reference_configs):
     # the numeric residue of the lambda_N = 0 integrand at s = 0
     for name, net in reference_configs.items():
         context = abs(mellin.leading_pole(net)[0])
-        [[residue]] = mellin._residues(net, [((0,) * net.n_hops, 0.0, 1, context)])
+        group = [1, context, 0.0, [((0,) * net.n_hops, 0.0)]]  # order, context, top, (shifts, log_weight)
+        [[residue]] = mellin._residues(net, {(0, 0.0): group})
         assert residue == pytest.approx(1.0, abs=1e-9), name
 
 
@@ -651,6 +652,16 @@ def test_build_expansion_takes_one_residue_per_lambda_and_location(monkeypatch):
                     n_terms += 1
     assert rows == [(loc, order) for (_, loc), order in orders.items()]
     assert len(rows) < n_terms / 10
+
+
+@pytest.mark.parametrize("block", [1, 5, 10**6])
+def test_residue_coefficients_do_not_depend_on_the_block(monkeypatch, block):
+    # a residue's block sets only which residues share an FFT call, not its value
+    nets = {**NINE_CONFIGS, "nak8": NAK8}
+    want = {(name, lam): mellin.build_expansion(net, lam).terms for name, net in nets.items() for lam in (2, 3)}
+    monkeypatch.setattr(mellin, "RESIDUE_BLOCK", block)
+    for (name, lam), terms in want.items():
+        assert mellin.build_expansion(nets[name], lam).terms == terms, (name, lam)
 
 
 def test_build_expansion_error_names_the_ill_conditioned_pole():
