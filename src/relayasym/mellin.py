@@ -17,9 +17,10 @@ other pole, found by bisection.  :func:`build_expansion` files each term
 under the (lambda_N, location) of each of its poles, and ``_residues``
 takes one residue per such group, of its terms' weighted sum, as residues
 are linear.  It makes one log_moment call per distinct hop model on
-every distinct shifted ring the terms meet (``_ring_tables``), then takes
-the Laurent data of a block of residues at a time off one FFT of their
-contour samples (:func:`residue_at`).  The integrand is real on the real
+every distinct shifted ring the terms meet, a ring being the one number
+centre + i*radius (``_ring_tables``), then takes the Laurent data of a
+block of residues at a time off one FFT of their contour samples
+(:func:`residue_at`).  The integrand is real on the real
 axis, so a contour is sampled on its upper half alone and ``np.fft.hfft``
 gives the whole circle's spectrum.
 :func:`build_expansion` plans the residues of every term, at most
@@ -182,46 +183,38 @@ def enumerate_poles(network: NetworkConfig, shifts, re_min: float) -> list[tuple
 
 
 def _ring(context: np.ndarray):
-    """Radii and upper-half node offsets of the residue contours, one row per pole.
+    """Radii of the residue contours, one per pole, and the unit half ring.
 
     The radius is r = min(0.4*context, 0.5), where context is the distance
-    to the nearest other pole; row i holds r_i exp(2 pi i n / nodes) for
-    n = 0, ..., nodes/2, the nodes on or above the real axis.
+    to the nearest other pole; the unit half ring holds exp(2 pi i n / nodes)
+    for n = 0, ..., nodes/2, the nodes on or above the real axis.
     """
     radius = np.minimum(RADIUS_SAFETY * context, MAX_CONTOUR_RADIUS)
-    half = np.arange(CONTOUR_NODES // 2 + 1)
-    return radius, radius[:, None] * np.exp(2j * math.pi * half / CONTOUR_NODES)
-
-
-def _distinct_rows(a: np.ndarray):
-    """(first, inverse) of np.unique over the rows of a 2-D array, compared byte for byte."""
-    keys = a.view(np.dtype((np.void, a.itemsize * a.shape[1]))).ravel()
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    return first, inverse
+    return radius, np.exp(2j * math.pi * np.arange(CONTOUR_NODES // 2 + 1) / CONTOUR_NODES)
 
 
 def _ring_tables(network: NetworkConfig, shifts: np.ndarray, s0: np.ndarray, context: np.ndarray):
     """Every log_moment ring of a batch of residues, each evaluated once.
 
     Row r of the batch is the series term with shifts ``shifts[r]`` on the
-    :func:`residue_at` half contour around s0[r].  Hop j meets the ring at the
-    contour nodes s + lambda_j; each distinct hop model takes one log_moment
-    call on the distinct rings its hops meet, compared byte for byte, so a
+    :func:`residue_at` half contour around s0[r].  Hop j meets the ring of
+    centre s0 + lambda_j and the contour's radius, keyed as the one complex
+    number centre + i*radius (by the radius, not the context: a lone pole's
+    context is inf, and 1j*inf has a NaN real part); each distinct hop model
+    takes one log_moment call on the distinct keys its hops meet, so a
     shifted ring that several terms and poles meet is evaluated once.
     Returns, per hop, the table of rings and the table row of each batch row.
     """
     models = [hop.model for hop in network.hops]
+    radius, unit = _ring(context)
     rings = [None] * len(models)
     for model in dict.fromkeys(models):
         hops = [j for j, m in enumerate(models) if m == model]
-        # (pole, context, shift) of each ring, then its nodes (s0 + ring) + lambda_j
-        keys = np.concatenate([np.stack([s0, context, shifts[:, j]], axis=1) for j in hops])
-        first, index = _distinct_rows(keys)
-        nodes = keys[first, :1] + _ring(keys[first, 1])[1] + keys[first, 2:]
-        first, inverse = _distinct_rows(nodes)
-        table = log_moment(model, nodes[first])
-        for i, j in enumerate(hops):
-            rings[j] = table, inverse[index[i * len(s0):(i + 1) * len(s0)]]
+        keys = s0 + shifts[:, hops].T + 1j * radius  # (hop, row): centre + i*radius
+        distinct, inverse = np.unique(keys, return_inverse=True)
+        table = log_moment(model, distinct.real[:, None] + distinct.imag[:, None] * unit)
+        for j, index in zip(hops, inverse.reshape(keys.shape)):
+            rings[j] = table, index
     return rings
 
 
@@ -260,7 +253,8 @@ def residue_at(f, s0, k, context):
     """
     scalar = np.ndim(s0) == 0
     s0, k, context = (np.atleast_1d(x) for x in (s0, k, context))
-    radius, ring = _ring(context)
+    radius, unit = _ring(context)
+    ring = radius[:, None] * unit
     h_ring = f(s0[:, None] + ring)
     for order in set(k.tolist()):
         rows = k == order

@@ -313,9 +313,12 @@ def oracle_outage(network: NetworkConfig, gamma_bar):
     # down to PANEL_WIDTH at least, then while a rule and its doubled rule disagree
     while len(network.hops) > 1 and (width > PANEL_WIDTH or np.any(np.abs(value - coarse) > ORACLE_RTOL * value)):
         if width <= PANEL_WIDTH / 16:
-            raise QuadratureConvergenceError(f"steps of width {width:g} still move the outage by up to "
-                                             f"{np.max(np.abs(value - coarse) / value):.2e} of itself, "
-                                             f"above {ORACLE_RTOL:g}")
+            # the absolute change at the worst gamma_bar: an outage that underflows to 0 has no relative one
+            i = int(np.argmax(np.abs(value - coarse) - ORACLE_RTOL * value))
+            raise QuadratureConvergenceError(
+                f"steps of width {width:g} still move the outage by {abs(value[i] - coarse[i]):.2e} at "
+                f"gamma_bar = {np.ravel(gamma_bar)[i]:g}, from {coarse[i]:.3e} to {value[i]:.3e}, more than "
+                f"{ORACLE_RTOL:g} of it")
         width /= 2.0
         v, wg, lost, _ = _threshold_table(network, width, windows)
         coarse, value = value, outage(v, wg)

@@ -491,19 +491,21 @@ def test_sweep_oracle_on_sharp_weibull_hops_fails_without_runtime_warnings(tmp_p
     # (x / theta)^m overflows to inf on the oracle's window, where the density
     # is 0 and the CDF 1; ln X of the m = 1000 hop is about 1e-3 wide, far
     # below the finest step, so the sweep stops with a numerical failure and
-    # no numpy warning on stderr
-    doc = {"gamma_t_db": 0.0, "hops": [{"fading": "weibull", "m": 40.0}, {"fading": "weibull", "m": 1000.0}]}
-    cfg = _write(tmp_path, "wei40.json", json.dumps(doc))
-    proc = subprocess.run(
-        [sys.executable, "-m", "relayasym.cli", "sweep", "--config", cfg,
-         "--db-from", "10", "--db-to", "20", "--samples", "0", "--oracle"],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": str(Path(relayasym.__file__).parents[1])},
-    )
-    assert proc.returncode == EXIT_NUMERICAL
-    assert "still move the outage" in proc.stderr
-    assert "RuntimeWarning" not in proc.stderr
+    # no numpy warning on stderr.  With two such hops the outages from 10 dB up
+    # underflow to 0, so the message states the absolute change, not nan.
+    for m1, db_from, db_to in ((40.0, "10", "20"), (1000.0, "0", "60")):
+        doc = {"gamma_t_db": 0.0, "hops": [{"fading": "weibull", "m": m1}, {"fading": "weibull", "m": 1000.0}]}
+        cfg = _write(tmp_path, "wei.json", json.dumps(doc))
+        proc = subprocess.run(
+            [sys.executable, "-m", "relayasym.cli", "sweep", "--config", cfg,
+             "--db-from", db_from, "--db-to", db_to, "--samples", "0", "--oracle"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(relayasym.__file__).parents[1])},
+        )
+        assert proc.returncode == EXIT_NUMERICAL, m1
+        assert "still move the outage" in proc.stderr, m1
+        assert "RuntimeWarning" not in proc.stderr and "nan" not in proc.stderr, m1
 
 
 # ---------------------------------------------------------------------------

@@ -590,6 +590,18 @@ def test_build_expansion_at_hoyt_q_floor_raises_typed_error():
         mellin.build_expansion(make_network([F.hoyt(channels.HOYT_Q_MIN)] * 3), 2)
 
 
+@pytest.mark.parametrize("q", [channels.HOYT_Q_MIN, 0.01, 0.1])
+def test_two_hoyt_hops_top_log_coefficient_is_the_squared_density_at_zero(q):
+    # E[X^s] of a Hoyt gain with theta = 1 has the simple pole f(0)/(s + 1)
+    # at -1, f(0) = (1 + q^2)/(2q) its density at 0, so two such hops have a
+    # double pole there and their ln(gamma_bar)/gamma_bar coefficient is
+    # f(0)^2.  At small q the moment is sharp on the contour: 48 nodes read
+    # it 5.7e-8 off at q = 1e-3, where 64 nodes read 3.4e-12
+    term, s0, k = mellin.leading_term(make_network([F.hoyt(q)] * 2))
+    assert (s0, k) == (-1.0, 2)
+    assert term.log_coeffs[-1] == pytest.approx(((1.0 + q * q) / (2.0 * q)) ** 2, rel=1e-10, abs=0.0)
+
+
 def test_build_expansion_bounds_the_series_terms():
     # C(lambda_max + N - 1, N - 1) terms: 11,440 for 8 hops at lambda_max = 9
     with pytest.raises(ValueError, match="11440 series terms"):
@@ -604,7 +616,8 @@ def test_build_expansion_bounds_the_series_terms():
     [
         ((2.2, 1.8, 1.6, 2.5, 2.1, 2.9, 1.7, 1.3), 3),
         # two hops share a model, and pairs of (pole, shift) meet four rings
-        # at the same node bytes, such as (-2.8 + r e^it) + 1 and -1.8 + r e^it
+        # of the same centre and radius, such as the pole at -3.2 shifted by 1
+        # and the pole at -2.2 unshifted, both centred at -2.2 with radius 0.08
         ((2.2, 1.8, 1.8), 4),
     ],
     ids=["nak8", "nak3"],

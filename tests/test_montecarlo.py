@@ -556,6 +556,11 @@ def test_oracle_raises_past_the_finest_panel_width():
     # (x / theta)^1000 is inf above x of about 2, where the density is 0
     with pytest.raises(QuadratureConvergenceError, match="width 0.009375"):
         oracle_outage(net, 100.0)
+    # two such hops: the outage underflows to 0 from 10 dB up, so the message
+    # states the absolute change, with no 0/0 on the way
+    net = make_network([F.weibull(1000.0)] * 2)
+    with pytest.raises(QuadratureConvergenceError, match=r"width 0.009375 .* by 3.45e\+00 at gamma_bar = 1,"):
+        oracle_outage(net, 10.0 ** np.arange(0.0, 6.5, 0.5))
 
 
 def test_oracle_heavy_upper_tail_counts_relative_to_the_outage():
